@@ -1310,156 +1310,6 @@ let trace_bench () =
   Format.printf "  wrote BENCH_trace.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry overhead: Metrics.null vs a live registry          *)
-(* ------------------------------------------------------------------ *)
-
-(* The off-path claim behind [Metrics.null]: a solver run with the
-   default (null) registry installed must be as fast as the
-   pre-instrumentation engine, and installing a live registry must stay
-   within noise too (the hot-path increments are plain writes to a
-   per-domain cell). Methodology as the trace bench: interleaved
-   round-robin so scheduler drift hits both configs equally, best of 3
-   rounds per config, nodes deterministic per configuration. The trace
-   baselines double as the uninstrumented reference — they were
-   measured before the registry existed, untraced, same budget and
-   machine. Acceptance: geomean off vs baseline >= 0.95. *)
-let metrics_bench () =
-  let tiny = Sys.getenv_opt "METRICS_TINY" <> None in
-  let budget = if tiny then 8_000 else engine_node_budget in
-  Format.printf
-    "@.== Metrics: stage-3 throughput registry off / on (budget %d nodes) ==@."
-    budget;
-  if tiny then Format.printf "  (METRICS_TINY set: reduced budget)@.";
-  Format.printf
-    "  instance                   off n/s   vs base    on n/s   on/off@.";
-  let configs =
-    [
-      ("off", fun () -> Packing.Metrics.null);
-      ("on", fun () -> Packing.Metrics.create ());
-    ]
-  in
-  let once mk inst cont =
-    (* installed before solve: the solver and bound engine mint their
-       handles from the process default at entry; a fresh registry per
-       run keeps registration cost inside the measurement, as the trace
-       bench keeps ring setup inside its runs *)
-    Packing.Metrics.set_default (mk ());
-    let options =
-      { search_only with Packing.Opp_solver.node_limit = Some budget }
-    in
-    let (_, stats), dt =
-      wall (fun () -> Packing.Opp_solver.solve ~options inst cont)
-    in
-    Packing.Metrics.set_default Packing.Metrics.null;
-    (stats.Packing.Opp_solver.nodes, dt)
-  in
-  let measure_all inst cont =
-    let best = Hashtbl.create 4 in
-    for _round = 1 to 3 do
-      List.iter
-        (fun (cfg, mk) ->
-          let (_, t) as r = once mk inst cont in
-          match Hashtbl.find_opt best cfg with
-          | Some (_, t') when t' <= t -> ()
-          | _ -> Hashtbl.replace best cfg r)
-        configs
-    done;
-    List.map
-      (fun (cfg, _) ->
-        let n, t = Hashtbl.find best cfg in
-        (cfg, if t > 0.0 then float_of_int n /. t else 0.0))
-      configs
-  in
-  let rows = ref [] in
-  let vs_baseline = ref [] and vs_off = ref [] in
-  List.iter
-    (fun (name, inst, cont) ->
-      let rates = measure_all inst cont in
-      let off = List.assoc "off" rates and on = List.assoc "on" rates in
-      let base = List.assoc_opt name trace_baseline_nodes_per_s in
-      let base_ratio =
-        match base with
-        | Some b when b > 0.0 && off > 0.0 && not tiny ->
-          let r = off /. b in
-          vs_baseline := r :: !vs_baseline;
-          Some r
-        | _ -> None
-      in
-      let on_ratio =
-        if off > 0.0 then begin
-          let r = on /. off in
-          vs_off := r :: !vs_off;
-          Some r
-        end
-        else None
-      in
-      Format.printf "  %-24s %9.0f   %7s  %8.0f   %6s@." name off
-        (match base_ratio with
-        | Some r -> Printf.sprintf "%.2fx" r
-        | None -> "n/a")
-        on
-        (match on_ratio with
-        | Some r -> Printf.sprintf "%.2f" r
-        | None -> "n/a");
-      rows :=
-        Printf.sprintf
-          "{\"instance\":\"%s\",\"off_nodes_per_s\":%.1f,\
-           \"baseline_nodes_per_s\":%s,\"off_vs_baseline\":%s,\
-           \"on_nodes_per_s\":%.1f,\"on_vs_off\":%s}"
-          name off
-          (match base with
-          | Some b -> Printf.sprintf "%.1f" b
-          | None -> "null")
-          (match base_ratio with
-          | Some r -> Printf.sprintf "%.3f" r
-          | None -> "null")
-          on
-          (match on_ratio with
-          | Some r -> Printf.sprintf "%.3f" r
-          | None -> "null")
-        :: !rows)
-    (engine_cases ());
-  let geomean = function
-    | [] -> None
-    | rs ->
-      let log_sum = List.fold_left (fun a r -> a +. log r) 0.0 rs in
-      Some (exp (log_sum /. float_of_int (List.length rs)))
-  in
-  let show label = function
-    | Some g ->
-      Format.printf "  geomean %s: %.3f@." label g;
-      Printf.sprintf "%.4f" g
-    | None ->
-      Format.printf "  geomean %s: n/a@." label;
-      "null"
-  in
-  let g_base = geomean !vs_baseline in
-  let g_on = geomean !vs_off in
-  let g_base_s = show "off vs baseline (target >= 0.95)" g_base in
-  let g_on_s = show "on vs off" g_on in
-  (* acceptance rides on the off path; fall back to on/off when no
-     baseline applies (tiny mode) so the file always carries a verdict *)
-  let ok =
-    match (g_base, g_on) with
-    | Some g, _ -> g >= 0.95
-    | None, Some g -> g >= 0.95
-    | None, None -> false
-  in
-  let oc = open_out "BENCH_metrics.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"node_budget\":%d,\"note\":\"search-only stage 3, sequential; off = \
-        Metrics.null as the process default, on = a fresh live registry per \
-        run; time = min of 3 interleaved rounds; baseline = the untraced, \
-        pre-registry trace-bench reference on the same machine\",\
-        \"geomean_off_vs_baseline\":%s,\"geomean_on_vs_off\":%s,\
-        \"acceptance\":{\"target\":0.95,\"ok\":%b},\"cases\":[\n%s\n]}\n"
-       budget g_base_s g_on_s ok
-       (String.concat ",\n" (List.rev !rows)));
-  close_out oc;
-  Format.printf "  wrote BENCH_metrics.json (ok=%b)@." ok
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table / figure         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1882,7 +1732,6 @@ let () =
       ("ddim", ddim_bench);
       ("bounds", bounds_bench);
       ("trace", trace_bench);
-      ("metrics", metrics_bench);
       ("service", service_bench);
       ("bechamel", run_bechamel);
     ]

@@ -1063,7 +1063,7 @@ let serve_cmd =
   let metrics_port =
     Arg.(value & opt (some int) None
          & info [ "metrics-port" ] ~docv:"PORT"
-             ~doc:"Expose process metrics on 127.0.0.1:$(docv): every \
+             ~doc:"Expose the server's metrics on 127.0.0.1:$(docv): every \
                    connection receives one Prometheus text-format \
                    exposition and is closed.")
   in
@@ -1076,11 +1076,6 @@ let serve_cmd =
   in
   let run serve_jobs cache_size no_cache max_nodes max_time solver_jobs
       heartbeat port metrics_port metrics_snapshot stats =
-    (* The serve loop always runs with a live metrics registry — the
-       "metrics" request op, the exposition port, and the snapshot dump
-       all read it. Installed before [create] so the server and cache
-       mint live handles. *)
-    Packing.Metrics.set_default (Packing.Metrics.create ());
     let config =
       {
         Service.Server.jobs = serve_jobs;
@@ -1094,13 +1089,13 @@ let serve_cmd =
     in
     let server = Service.Server.create ~config () in
     (match metrics_port with
-    | Some p -> ignore (Service.Server.serve_metrics ~port:p)
+    | Some p -> ignore (Service.Server.serve_metrics server ~port:p)
     | None -> ());
     let stop_dump =
       match metrics_snapshot with
       | Some path ->
         Some
-          (Service.Server.start_metrics_dump ~path
+          (Service.Server.start_metrics_dump server ~path
              ~interval_s:(Option.value heartbeat ~default:1.0))
       | None -> None
     in
@@ -1122,10 +1117,10 @@ let serve_cmd =
      with --port) multiplexing solve/min-time/min-area requests over a \
      domain pool, with a canonicalization-keyed result cache in front of \
      the solver. With --stats json, a final {\"ev\":\"stats\"} line reports \
-     request and cache counters at EOF. Process metrics are always \
-     collected; scrape them with --metrics-port, dump them with \
-     --metrics-snapshot, or send {\"op\":\"metrics\"} on the request \
-     stream."
+     request and cache counters at EOF. The server's metrics are read \
+     from the counts it keeps; scrape them with --metrics-port, dump them \
+     with --metrics-snapshot, or send {\"op\":\"metrics\"} on the \
+     request stream."
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ serve_jobs $ cache_size $ no_cache $ max_nodes
@@ -1158,7 +1153,7 @@ let metrics_summary_cmd =
             | Some p -> p
             | None -> j
           in
-          (match Packing.Metrics.of_json payload with
+          (match Service.Metrics.of_json payload with
           | Ok s -> Some s
           | Error _ -> None)
     in
@@ -1173,12 +1168,12 @@ let metrics_summary_cmd =
     let result =
       match from_jsonl with
       | Some s -> Ok s
-      | None -> Packing.Metrics.of_prometheus text
+      | None -> Service.Metrics.of_prometheus text
     in
     match result with
     | Error msg -> err (file ^ ": " ^ msg)
     | Ok s ->
-      Format.printf "%a@?" Packing.Metrics.pp_table s;
+      Format.printf "%a@?" Service.Metrics.pp_table s;
       0
   in
   let doc =

@@ -27,11 +27,48 @@ let pp_verdict fmt = function
   | Inconclusive -> Format.fprintf fmt "inconclusive"
 
 (* ------------------------------------------------------------------ *)
+(* Saturating arithmetic                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every product of extents, areas or DFF targets below goes through
+   [sat_mul] (and every sum of them through [sat_add]): on non-negative
+   operands a result past [max_int] is [max_int]. Saturation only ever
+   lowers a value, so a saturated capacity can never certify
+   infeasibility ([demand > max_int] is false), while a saturated
+   demand still exceeds every capacity it truly exceeds; a ceiling
+   quotient of saturated values never exceeds the true quotient. *)
+let sat_mul a b =
+  if a < 0x4000_0000 && b < 0x4000_0000 then a * b (* < 2^60, no division *)
+  else if a = 0 || b = 0 then 0
+  else if a > max_int / b then max_int
+  else a * b
+
+let sat_add a b = if a > max_int - b then max_int else a + b
+
+(* ------------------------------------------------------------------ *)
 (* Primitive bound families                                            *)
 (* ------------------------------------------------------------------ *)
 
+let container_volume container =
+  let v = ref 1 in
+  for k = 0 to Container.dim container - 1 do
+    v := sat_mul !v (Container.extent container k)
+  done;
+  !v
+
+let total_volume inst =
+  let total = ref 0 in
+  for i = 0 to Instance.count inst - 1 do
+    let v = ref 1 in
+    for k = 0 to Instance.dim inst - 1 do
+      v := sat_mul !v (Instance.extent inst i k)
+    done;
+    total := sat_add !total !v
+  done;
+  !total
+
 let volume_exceeded inst container =
-  Instance.total_volume inst > Container.volume container
+  total_volume inst > container_volume container
 
 let misfit inst container =
   let d = Instance.dim inst in
@@ -129,7 +166,7 @@ let axis_transforms inst container axis =
         {
           describe = Printf.sprintf "u^(%d)" k;
           apply = (fun w -> u_k ~k ~w_max w);
-          target = k * w_max;
+          target = sat_mul k w_max;
         })
   in
   identity_transform w_max :: (f_transforms @ u_transforms)
@@ -140,13 +177,13 @@ let transformed_volume_exceeded inst choice =
   for i = 0 to Instance.count inst - 1 do
     let v = ref 1 in
     for k = 0 to d - 1 do
-      v := !v * choice.(k).apply (Instance.extent inst i k)
+      v := sat_mul !v (choice.(k).apply (Instance.extent inst i k))
     done;
-    total := !total + !v
+    total := sat_add !total !v
   done;
   let cap = ref 1 in
   for k = 0 to d - 1 do
-    cap := !cap * choice.(k).target
+    cap := sat_mul !cap choice.(k).target
   done;
   !total > !cap
 
@@ -196,7 +233,7 @@ let base_area inst container =
   let ta = Instance.objective_axis inst in
   let a = ref 1 in
   for k = 0 to Instance.dim inst - 1 do
-    if k <> ta then a := !a * Container.extent container k
+    if k <> ta then a := sat_mul !a (Container.extent container k)
   done;
   !a
 
@@ -204,11 +241,11 @@ let footprint inst i =
   let ta = Instance.objective_axis inst in
   let a = ref 1 in
   for k = 0 to Instance.dim inst - 1 do
-    if k <> ta then a := !a * Instance.extent inst i k
+    if k <> ta then a := sat_mul !a (Instance.extent inst i k)
   done;
   !a
 
-let ceil_div a b = if a <= 0 then 0 else (a + b - 1) / b
+let ceil_div a b = if a <= 0 then 0 else ((a - 1) / b) + 1
 
 (* Turn a proven time lower bound into a verdict against a container:
    exceeding the time extent is an infeasibility certificate. *)
@@ -255,7 +292,7 @@ let run_volume inst container ~seq:_ =
   else
     (* ceil(volume / base area) time slices are needed just to hold the
        total volume, whatever the schedule. *)
-    let lb = ceil_div (Instance.total_volume inst) (base_area inst container) in
+    let lb = ceil_div (total_volume inst) (base_area inst container) in
     time_bound_verdict ~name:"volume"
       ~detail:"volume per time slice exceeds the chip area" inst container lb
 
@@ -390,15 +427,15 @@ let run_dff_time inst container ~seq:_ =
       if k = ns then begin
         let base = ref 1 in
         for m = 0 to ns - 1 do
-          base := !base * choice.(m).target
+          base := sat_mul !base choice.(m).target
         done;
         let total = ref 0 in
         for i = 0 to n - 1 do
           let a = ref (Instance.duration inst i) in
           for m = 0 to ns - 1 do
-            a := !a * choice.(m).apply (Instance.extent inst i spatial.(m))
+            a := sat_mul !a (choice.(m).apply (Instance.extent inst i spatial.(m)))
           done;
-          total := !total + !a
+          total := sat_add !total !a
         done;
         let lb = ceil_div !total !base in
         if lb > !best then best := lb
@@ -438,6 +475,7 @@ let run_energetic inst container ~seq =
     List.iter (fun (u, v) -> Digraph.add_arc rev v u) (Digraph.arcs seq);
     let tail = Digraph.longest_path_lengths rev ~weight:dur in
     let lft = Array.init n (fun i -> cap - tail.(i)) in
+    let area = Array.init n (footprint inst) in
     let result = ref Inconclusive in
     (* Chain through [i] too long for the window — cheap early out that
        also keeps every subsequent window computation meaningful. *)
@@ -467,9 +505,11 @@ let run_energetic inst container ~seq =
                       (min (est.(i) + dur i - t1) (t2 - (lft.(i) - dur i)))
                   in
                   if mandatory > 0 then
-                    energy := !energy + (footprint inst i * mandatory)
+                    energy :=
+                      sat_add !energy (sat_mul area.(i) mandatory)
                 done;
-                if !energy > base * (t2 - t1) then
+                let capacity = sat_mul base (t2 - t1) in
+                if !energy > capacity then
                   result :=
                     Infeasible
                       {
@@ -478,9 +518,7 @@ let run_energetic inst container ~seq =
                           Printf.sprintf
                             "mandatory energy %d exceeds capacity %d in \
                              window [%d, %d)"
-                            !energy
-                            (base * (t2 - t1))
-                            t1 t2;
+                            !energy capacity t1 t2;
                       }
               end)
             t2s)
@@ -512,11 +550,6 @@ type counter = {
   mutable calls : int;
   mutable time_s : float;
   mutable prunes : int;
-  (* Process-metrics mirrors of the three tallies, labeled by bound
-     name. No-op handles when the default registry is disabled. *)
-  m_calls : Metrics.counter;
-  m_prunes : Metrics.counter;
-  m_time : Metrics.counter;
 }
 
 type t = {
@@ -537,30 +570,11 @@ let create ?names ?(trace = Trace.null) () =
           | None -> invalid_arg ("Bound_engine.create: unknown bound " ^ name))
         names
   in
-  let m = Metrics.default () in
   {
     entries;
     tallies =
       List.map
-        (fun e ->
-          ( e.name,
-            {
-              calls = 0;
-              time_s = 0.0;
-              prunes = 0;
-              m_calls =
-                Metrics.counter m ~help:"Bound evaluations by bound"
-                  ~labels:[ ("bound", e.name) ]
-                  "fpga_bounds_calls_total";
-              m_prunes =
-                Metrics.counter m ~help:"Infeasible verdicts by bound"
-                  ~labels:[ ("bound", e.name) ]
-                  "fpga_bounds_prunes_total";
-              m_time =
-                Metrics.counter m ~help:"Seconds spent evaluating each bound"
-                  ~labels:[ ("bound", e.name) ]
-                  "fpga_bounds_seconds_total";
-            } ))
+        (fun e -> (e.name, { calls = 0; time_s = 0.0; prunes = 0 }))
         entries;
     trace;
   }
@@ -586,12 +600,8 @@ let timed t e inst container ~seq =
   let dt = Unix.gettimeofday () -. start in
   c.calls <- c.calls + 1;
   c.time_s <- c.time_s +. dt;
-  Metrics.incr c.m_calls;
-  Metrics.addf c.m_time dt;
   (match verdict with
-  | Infeasible _ ->
-    c.prunes <- c.prunes + 1;
-    Metrics.incr c.m_prunes
+  | Infeasible _ -> c.prunes <- c.prunes + 1
   | Lower_bound _ | Inconclusive -> ());
   (* The trace records the same measured duration the counters
      accumulate, so [trace-summary] reproduces [--stats json]. *)

@@ -105,6 +105,21 @@ val time_lower_bound : t -> Instance.t -> Container.t -> int
     subcommand surface. *)
 val run_all : t -> Instance.t -> Container.t -> (string * verdict) list
 
+(** {1 Saturating arithmetic}
+
+    Every product of extents, areas or DFF targets in the bounds (and in
+    {!Knapsack}'s volume filter) goes through these, so a huge container
+    can never overflow into a false [Infeasible]. On non-negative
+    operands a result past [max_int] is [max_int]: a saturated capacity
+    never certifies infeasibility, and a saturated demand still exceeds
+    every capacity it truly exceeds. *)
+
+val sat_mul : int -> int -> int
+val sat_add : int -> int -> int
+
+(** Saturating volume of a container. *)
+val container_volume : Container.t -> int
+
 (** {1 Primitive bound families}
 
     Exposed for {!Bounds} (the legacy stage-1 facade) and for tests.

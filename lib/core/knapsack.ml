@@ -1,5 +1,3 @@
-module Container = Geometry.Container
-
 type result = {
   value : int;
   selected : int list;
@@ -82,6 +80,7 @@ let solve ?options inst cont ~value =
      indices; [chosen] marks them; [rest] is the tail of [order];
      [rest_value] bounds the attainable gain. *)
   let chosen = Array.make n false in
+  let capacity = Bound_engine.container_volume cont in
   let rec go selection sel_value sel_volume rest rest_value =
     if sel_value + rest_value > !best_value then
       match rest with
@@ -95,9 +94,13 @@ let solve ?options inst cont ~value =
             (fun u -> (not (Order.Partial_order.precedes p u i)) || chosen.(u))
             (List.init n Fun.id)
         in
-        let vol = Geometry.Box.volume (Instance.box inst i) in
+        let box = Instance.box inst i in
+        let vol =
+          List.fold_left Bound_engine.sat_mul 1
+            (List.init (Geometry.Box.dim box) (Geometry.Box.extent box))
+        in
         (* Include i (only if its producers are in and volume allows). *)
-        if preds_ok && sel_volume + vol <= Container.volume cont then begin
+        if preds_ok && Bound_engine.sat_add sel_volume vol <= capacity then begin
           chosen.(i) <- true;
           (* Incremental pruning: an infeasible partial selection stays
              infeasible under any extension (packing is monotone). *)
@@ -113,7 +116,9 @@ let solve ?options inst cont ~value =
                     placement;
                   }
             end;
-            go (i :: selection) (sel_value + value i) (sel_volume + vol) tail
+            go (i :: selection) (sel_value + value i)
+              (Bound_engine.sat_add sel_volume vol)
+              tail
               (rest_value - value i)
           | None -> ());
           chosen.(i) <- false

@@ -17,6 +17,7 @@ type share = {
 
 type stats = {
   nodes : int;
+  decisions : int;
   conflicts : int;
   leaves : int;
   max_depth : int;
@@ -93,51 +94,6 @@ let poll_mask = 31
 let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
   let nodes = ref 0 and conflicts = ref 0 and leaves = ref 0 in
   let decisions = ref 0 in
-  (* Process metrics: handles are minted once per search and flushed
-     from the existing local counters — at heartbeats (nodes only, as a
-     delta, so a live scrape sees progress) and at [finish]. The whole
-     block is no-ops when the default registry is disabled, so the hot
-     path never pays for it. *)
-  let m = Metrics.default () in
-  let m_on = Metrics.enabled m in
-  let m_nodes =
-    Metrics.counter m ~help:"Search nodes visited" "fpga_solver_nodes_total"
-  in
-  let m_decisions =
-    Metrics.counter m ~help:"Branch points expanded"
-      "fpga_solver_decisions_total"
-  in
-  let m_conflicts =
-    Metrics.counter m ~help:"Search conflicts (refuted nodes)"
-      "fpga_solver_conflicts_total"
-  in
-  let m_leaves =
-    Metrics.counter m ~help:"Fully decided leaves reached"
-      "fpga_solver_leaves_total"
-  in
-  let m_realize =
-    Metrics.counter m ~help:"Realization (placement reconstruction) attempts"
-      "fpga_solver_realize_attempts_total"
-  in
-  let m_realize_s =
-    Metrics.counter m ~help:"Seconds spent in realization attempts"
-      "fpga_solver_realize_seconds_total"
-  in
-  let m_flushed_nodes = ref 0 in
-  let metrics_flush_nodes () =
-    if m_on then begin
-      Metrics.add m_nodes (!nodes - !m_flushed_nodes);
-      m_flushed_nodes := !nodes
-    end
-  in
-  let metrics_finish () =
-    if m_on then begin
-      metrics_flush_nodes ();
-      Metrics.add m_decisions !decisions;
-      Metrics.add m_conflicts !conflicts;
-      Metrics.add m_leaves !leaves
-    end
-  in
   (* The decision path from this search's root, maintained only when a
      work-stealing [share] is attached: slot [d] holds the branch taken
      at local depth [d] along the current DFS path, so an [offer] can
@@ -187,6 +143,7 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
   let snapshot ~by_bounds ~by_heuristic =
     {
       nodes = !nodes;
+      decisions = !decisions;
       conflicts = !conflicts;
       leaves = !leaves;
       max_depth = !max_depth;
@@ -198,11 +155,6 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
     }
   in
   let finish outcome ~by_bounds ~by_heuristic =
-    metrics_finish ();
-    if m_on then begin
-      Metrics.add m_realize !realize_attempts;
-      Metrics.addf m_realize_s !realize_time
-    end;
     (outcome, snapshot ~by_bounds ~by_heuristic)
   in
   (* Progress callbacks fire on a wall-clock cadence: at every poll
@@ -214,13 +166,11 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
     Option.is_some options.on_progress
     || Option.is_some options.on_heartbeat
     || Trace.enabled options.trace
-    || m_on
   in
   let wants_clock = wants_progress || Option.is_some options.deadline in
   let next_progress = ref (t0 +. options.progress_interval_s) in
   let heartbeat now =
     next_progress := now +. options.progress_interval_s;
-    metrics_flush_nodes ();
     (match options.on_progress with
     | Some f -> f (snapshot ~by_bounds:false ~by_heuristic:false)
     | None -> ());
@@ -444,6 +394,7 @@ let solve ?(options = default_options) ?schedule inst cont =
     ( outcome,
       {
         nodes = 0;
+        decisions = 0;
         conflicts;
         leaves = 0;
         max_depth = 0;
@@ -519,6 +470,7 @@ let stats_to_json s = Telemetry.to_string (stats_json s)
 let merge_stats a b =
   {
     nodes = a.nodes + b.nodes;
+    decisions = a.decisions + b.decisions;
     conflicts = a.conflicts + b.conflicts;
     leaves = a.leaves + b.leaves;
     max_depth = max a.max_depth b.max_depth;
@@ -532,6 +484,7 @@ let merge_stats a b =
 let empty_stats =
   {
     nodes = 0;
+    decisions = 0;
     conflicts = 0;
     leaves = 0;
     max_depth = 0;

@@ -57,6 +57,8 @@ type share = {
 
 type stats = {
   nodes : int; (** branch-and-bound nodes visited *)
+  decisions : int;
+      (** branch points expanded (not rendered by {!stats_json}) *)
   conflicts : int; (** propagation failures (pruned branches) *)
   leaves : int; (** fully decided states reached *)
   max_depth : int; (** deepest decision stack reached *)

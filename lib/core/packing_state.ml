@@ -26,7 +26,18 @@ type counters = {
   mutable capacity_time : float;
   mutable implication_calls : int;
   mutable implication_time : float;
+  conflicts : int array; (* per rule, indexed like [rule_names] *)
 }
+
+let rule_names = [ "c2"; "c3"; "c4"; "capacity"; "symmetry"; "implications" ]
+
+let rule_slot = function
+  | "c2" -> 0
+  | "c3" -> 1
+  | "c4" -> 2
+  | "capacity" -> 3
+  | "symmetry" -> 4
+  | _ (* "implications" *) -> 5
 
 type t = {
   inst : Instance.t;
@@ -64,10 +75,6 @@ type t = {
   stats : counters;
   mutable propagations : int;
   trace : Trace.t;
-  m_rule_conflicts : (string * Metrics.counter) list;
-      (* per-rule conflict counters from the process metrics registry;
-         [[]] (all lookups miss) when the registry was disabled at
-         [create], so the off path stays free. *)
 }
 
 (* Tasks u < v are interchangeable when their boxes are equal and they
@@ -138,6 +145,7 @@ let rule_counters t =
     capacity_time_s = t.stats.capacity_time;
     implication_calls = t.stats.implication_calls;
     implication_time_s = t.stats.implication_time;
+    conflicts = List.mapi (fun i r -> (r, t.stats.conflicts.(i))) rule_names;
   }
 
 let clock = Unix.gettimeofday
@@ -407,15 +415,14 @@ let rule_c4_diagonal t k u v =
 
 exception Rule_conflict of string
 
-(* Record a rule conflict on the trace as it happens; the Ok path adds
-   only a tag match. *)
+(* Tally a rule conflict and record it on the trace as it happens; the
+   Ok path adds only a tag match. *)
 let fired t rule r =
   (match r with
   | Error reason ->
-    Trace.rule_fire t.trace ~rule ~detail:reason;
-    (match List.assoc_opt rule t.m_rule_conflicts with
-    | Some c -> Metrics.incr c
-    | None -> ())
+    let i = rule_slot rule in
+    t.stats.conflicts.(i) <- t.stats.conflicts.(i) + 1;
+    Trace.rule_fire t.trace ~rule ~detail:reason
   | Ok () -> ());
   r
 
@@ -599,21 +606,10 @@ let create ?(rules = default_rules) ?schedule ?(trace = Trace.null) inst cont =
           capacity_time = 0.0;
           implication_calls = 0;
           implication_time = 0.0;
+          conflicts = Array.make (List.length rule_names) 0;
         };
       propagations = 0;
       trace;
-      m_rule_conflicts =
-        (let m = Metrics.default () in
-         if not (Metrics.enabled m) then []
-         else
-           List.map
-             (fun rule ->
-               ( rule,
-                 Metrics.counter m
-                   ~help:"Packing-rule conflicts by rule"
-                   ~labels:[ ("rule", rule) ]
-                   "fpga_solver_rule_conflicts_total" ))
-             [ "c2"; "c3"; "c4"; "capacity"; "symmetry"; "implications" ]);
     }
   in
   let ( let* ) r f = match r with Ok () -> f () | Error msg -> Error msg in

@@ -120,7 +120,11 @@ val decided_fraction : t -> float
     attempt. *)
 val total_trail : t -> int
 
-(** Per-rule call/time counters accumulated since {!create} (the
-    [realize_*] fields are zero here — realization is counted by the
-    solver). *)
+(** Per-rule call/time counters and conflict tallies accumulated since
+    {!create} (the [realize_*] fields are zero here — realization is
+    counted by the solver). *)
 val rule_counters : t -> Telemetry.rule_counters
+
+(** The rules whose conflicts {!rule_counters} tallies, in the order of
+    its [conflicts] field. *)
+val rule_names : string list

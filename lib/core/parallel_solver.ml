@@ -472,40 +472,6 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
             |> List.sort (fun (a : worker_report) (b : worker_report) ->
                    compare a.worker b.worker)
           in
-          (* Flush the per-worker work-stealing tallies into the process
-             metrics registry. Done once, after the join, from the same
-             reports the JSON output renders — the solving hot path never
-             touches the registry. *)
-          let m = Metrics.default () in
-          if Metrics.enabled m then begin
-            let total name help =
-              Metrics.counter m ~help name
-            in
-            let m_tasks =
-              total "fpga_parallel_tasks_total" "Subtree descriptors executed"
-            and m_steals =
-              total "fpga_parallel_steals_total"
-                "Descriptors taken from another worker's deque"
-            and m_donated =
-              total "fpga_parallel_donated_total"
-                "Alternative branches published while descending"
-            and m_reclaimed =
-              total "fpga_parallel_reclaimed_total"
-                "Donated branches taken back unstolen"
-            in
-            List.iter
-              (fun (w : worker_report) ->
-                Metrics.add m_tasks w.work.Telemetry.tasks;
-                Metrics.add m_steals w.work.Telemetry.steals;
-                Metrics.add m_donated w.work.Telemetry.donated;
-                Metrics.add m_reclaimed w.work.Telemetry.reclaimed;
-                Metrics.add
-                  (Metrics.counter m ~help:"Search nodes by worker"
-                     ~labels:[ ("worker", string_of_int w.worker) ]
-                     "fpga_parallel_worker_nodes_total")
-                  w.stats.Opp_solver.nodes)
-              workers
-          end;
           let merged =
             List.fold_left
               (fun acc (w : worker_report) ->

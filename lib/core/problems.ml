@@ -32,9 +32,10 @@ type probe = {
   nodes : int;
   elapsed_s : float;
   bounds : Telemetry.bound_counters;
+  report : Parallel_solver.report;
 }
 
-let probe_json { target; verdict; nodes; elapsed_s; bounds } =
+let probe_json { target; verdict; nodes; elapsed_s; bounds; report = _ } =
   Telemetry.Obj
     [
       ( "container",
@@ -121,10 +122,11 @@ let exhausted b =
   | Some d -> Unix.gettimeofday () >= d
   | None -> false
 
-(* Run one decision probe against the remaining budget. Polymorphic in
-   nothing but behaviour: routes through the domain-parallel solver when
-   [jobs > 1] (exact, so the verdict is unchanged), charges the nodes
-   actually spent to the budget, and reports the probe to [on_probe].
+(* Run one decision probe against the remaining budget. Every job count
+   goes through [Parallel_solver.solve], which runs [jobs = 1] as the
+   plain sequential solve (and [jobs > 1] is exact, so the verdict is
+   unchanged); charges the nodes actually spent to the budget, and
+   reports the probe, with its solver report, to [on_probe].
    An already-dead budget short-circuits to [`Timeout] without solving
    (and without emitting a phantom probe). *)
 let run_probe ?schedule ctx cont inst =
@@ -173,13 +175,9 @@ let run_probe ?schedule ctx cont inst =
                   | None -> p)));
       }
     in
-    let outcome, stats =
-      if ctx.jobs > 1 then begin
-        let r = Parallel_solver.solve ~options ?schedule ~jobs:ctx.jobs inst cont in
-        (r.Parallel_solver.outcome, r.Parallel_solver.stats)
-      end
-      else Opp_solver.solve ~options ?schedule inst cont
-    in
+    let report = Parallel_solver.solve ~options ?schedule ~jobs:ctx.jobs inst cont in
+    let outcome = report.Parallel_solver.outcome
+    and stats = report.Parallel_solver.stats in
     (* With jobs > 1 the per-worker limits make the merged node count
        exceed the hand-out; charging the merged sum keeps the global
        budget conservative (never probes past what was granted). *)
@@ -229,6 +227,7 @@ let run_probe ?schedule ctx cont inst =
           elapsed_s = stats.Opp_solver.elapsed;
           bounds =
             Telemetry.add_bound_counters engine_delta stats.Opp_solver.bounds;
+          report;
         });
     match outcome with
     | Opp_solver.Feasible p -> `Feasible p

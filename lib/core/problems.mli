@@ -85,7 +85,11 @@ type probe = {
   nodes : int;  (** branch-and-bound nodes spent on this probe *)
   elapsed_s : float;  (** wall-clock seconds spent on this probe *)
   bounds : Telemetry.bound_counters;
-      (** per-bound engine counters of the solve behind this probe *)
+      (** per-bound engine counters of the solve behind this probe, plus
+          the run's shared stage-1 engine work since the previous probe *)
+  report : Parallel_solver.report;
+      (** the solver report of this probe (not rendered by
+          {!probe_json}) *)
 }
 
 (** One probe as a JSON object:

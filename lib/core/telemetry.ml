@@ -9,6 +9,7 @@ type rule_counters = {
   implication_time_s : float;
   realize_attempts : int;
   realize_time_s : float;
+  conflicts : (string * int) list;
 }
 
 let zero_rules =
@@ -23,6 +24,7 @@ let zero_rules =
     implication_time_s = 0.0;
     realize_attempts = 0;
     realize_time_s = 0.0;
+    conflicts = [];
   }
 
 let add_rules a b =
@@ -37,6 +39,12 @@ let add_rules a b =
     implication_time_s = a.implication_time_s +. b.implication_time_s;
     realize_attempts = a.realize_attempts + b.realize_attempts;
     realize_time_s = a.realize_time_s +. b.realize_time_s;
+    conflicts =
+      List.map
+        (fun (r, n) ->
+          (r, n + Option.value (List.assoc_opt r b.conflicts) ~default:0))
+        a.conflicts
+      @ List.filter (fun (r, _) -> not (List.mem_assoc r a.conflicts)) b.conflicts;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -22,6 +22,9 @@ type rule_counters = {
   implication_time_s : float;
   realize_attempts : int;
   realize_time_s : float;
+  conflicts : (string * int) list;
+      (** conflicts by rule name ({!Packing_state.rule_names}); added
+          by name, not rendered by {!rules_to_json} *)
 }
 
 val zero_rules : rule_counters

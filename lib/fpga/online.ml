@@ -2,7 +2,6 @@ module Instance = Packing.Instance
 module PO = Order.Partial_order
 module Trace = Packing.Trace
 module Telemetry = Packing.Telemetry
-module Metrics = Packing.Metrics
 
 type task = {
   w : int;
@@ -562,42 +561,6 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
       float_of_int !busy /. float_of_int (cw * ch * (!makespan - first_time))
     else 0.0
   in
-  (* Flush the run's disposition counters, chip gauges, and placement
-     latencies into the process metrics registry — once, at the end,
-     from the same tallies the report carries. *)
-  (let m = Metrics.default () in
-   if Metrics.enabled m then begin
-     let c name help = Metrics.counter m ~help name in
-     Metrics.add (c "fpga_online_placements_total" "Modules placed") !placed;
-     Metrics.add (c "fpga_online_rejections_total" "Modules rejected") !rejected;
-     Metrics.add
-       (c "fpga_online_deferrals_total" "Blocked tasks deferred to a wake-up")
-       !deferrals;
-     Metrics.add
-       (c "fpga_online_compactions_total" "Committed compactions")
-       !compactions;
-     Metrics.add
-       (c "fpga_online_moved_tasks_total" "Modules moved by compaction")
-       !moved_tasks;
-     Metrics.set
-       (Metrics.gauge m
-          ~help:"Time-averaged chip utilization of the last online run"
-          "fpga_online_utilization")
-       utilization;
-     (match fs with
-     | Some (f, _) ->
-       Metrics.set
-         (Metrics.gauge m
-            ~help:"Maximal empty rectangles left by the last online run"
-            "fpga_online_mer_count")
-         (float_of_int (Free_space.mer_count f))
-     | None -> ());
-     let h =
-       Metrics.histogram m ~help:"Placement operation wall-clock latency"
-         "fpga_online_place_seconds"
-     in
-     List.iter (fun us -> Metrics.observe h (us *. 1e-6)) !lat
-   end);
   let lat_arr = Array.of_list !lat in
   let latency =
     {

@@ -10,8 +10,6 @@ type 'a node = {
   mutable next : 'a node option; (* towards the tail (less recent) *)
 }
 
-module Metrics = Packing.Metrics
-
 type 'a t = {
   cap : int;
   tbl : (string, 'a node) Hashtbl.t;
@@ -21,20 +19,10 @@ type 'a t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  (* Process-metrics mirrors, minted against the default registry at
-     [create] (no-ops when it is disabled). *)
-  m_hits : Metrics.counter;
-  m_misses : Metrics.counter;
-  m_evictions : Metrics.counter;
-  m_entries : Metrics.gauge;
 }
 
 let create ?(capacity = 1024) () =
   if capacity < 1 then invalid_arg "Result_cache.create: capacity < 1";
-  let m = Metrics.default () in
-  Metrics.set
-    (Metrics.gauge m ~help:"Result cache capacity" "fpga_cache_capacity")
-    (float_of_int capacity);
   {
     cap = capacity;
     tbl = Hashtbl.create (min capacity 64);
@@ -44,14 +32,6 @@ let create ?(capacity = 1024) () =
     hits = 0;
     misses = 0;
     evictions = 0;
-    m_hits = Metrics.counter m ~help:"Result cache hits" "fpga_cache_hits_total";
-    m_misses =
-      Metrics.counter m ~help:"Result cache misses" "fpga_cache_misses_total";
-    m_evictions =
-      Metrics.counter m ~help:"Result cache evictions"
-        "fpga_cache_evictions_total";
-    m_entries =
-      Metrics.gauge m ~help:"Result cache live entries" "fpga_cache_entries";
   }
 
 let unlink t node =
@@ -75,13 +55,11 @@ let find t key =
       match Hashtbl.find_opt t.tbl key with
       | Some node ->
         t.hits <- t.hits + 1;
-        Metrics.incr t.m_hits;
         unlink t node;
         push_front t node;
         Some node.value
       | None ->
         t.misses <- t.misses + 1;
-        Metrics.incr t.m_misses;
         None)
 
 let add t key value =
@@ -97,14 +75,12 @@ let add t key value =
           | Some victim ->
             unlink t victim;
             Hashtbl.remove t.tbl victim.key;
-            t.evictions <- t.evictions + 1;
-            Metrics.incr t.m_evictions
+            t.evictions <- t.evictions + 1
           | None -> ()
         end;
         let node = { key; value; prev = None; next = None } in
         Hashtbl.add t.tbl key node;
-        push_front t node;
-        Metrics.set t.m_entries (float_of_int (Hashtbl.length t.tbl)))
+        push_front t node)
 
 let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
 let capacity t = t.cap
@@ -113,8 +89,7 @@ let clear t =
   Mutex.protect t.lock (fun () ->
       Hashtbl.reset t.tbl;
       t.head <- None;
-      t.tail <- None;
-      Metrics.set t.m_entries 0.0)
+      t.tail <- None)
 
 let counters t =
   Mutex.protect t.lock (fun () ->

@@ -1,6 +1,6 @@
 module T = Packing.Telemetry
-module Metrics = Packing.Metrics
 module Solver = Packing.Opp_solver
+module Par = Packing.Parallel_solver
 module Problems = Packing.Problems
 module Instance = Packing.Instance
 module Placement = Geometry.Placement
@@ -36,50 +36,39 @@ type t = {
   config : config;
   cache : solved Result_cache.t;
   lock : Mutex.t;
-  mutable requests : int;
-  mutable errors : int;
+  (* Request accounting, all under [lock]. Everything [stats_json] and
+     [metrics] report is read from here and from the cache's own
+     counters; nothing is counted twice. [solver], [work] and
+     [worker_nodes] fold the reports of every solve the answered
+     requests ran. *)
+  requests : (string * string, int) Hashtbl.t; (* (op, status) -> count *)
   mutable nodes_total : int;
-  (* Request-accounting records behind [stats_json]'s percentiles:
-     one latency sample per request, and per-op request counts. *)
   mutable latencies : float list;
-  op_counts : (string, int) Hashtbl.t;
-  (* Process-metrics handles, minted against the default registry at
-     [create] (no-ops when it is disabled). The latency histogram is
-     split by cache disposition so hit and miss populations stay
-     separable in the exposition. *)
-  m_registry : Metrics.t;
-  m_inflight : Metrics.gauge;
-  m_lat_hit : Metrics.histogram;
-  m_lat_miss : Metrics.histogram;
-  m_req_nodes : Metrics.histogram;
+  mutable inflight : int;
+  lat_hit : Metrics.histogram;
+  lat_miss : Metrics.histogram;
+  req_nodes : Metrics.histogram;
+  mutable solver : Solver.stats;
+  mutable work : T.steal_counters;
+  worker_nodes : (int, int) Hashtbl.t; (* worker id -> nodes *)
 }
 
 let create ?(config = default_config) () =
   let config = { config with jobs = max 1 config.jobs } in
-  let m = Metrics.default () in
-  let lat label =
-    Metrics.histogram m ~help:"Request wall-clock latency"
-      ~labels:[ ("cache", label) ]
-      "fpga_server_request_seconds"
-  in
   {
     config;
     cache = Result_cache.create ~capacity:config.cache_capacity ();
     lock = Mutex.create ();
-    requests = 0;
-    errors = 0;
+    requests = Hashtbl.create 8;
     nodes_total = 0;
     latencies = [];
-    op_counts = Hashtbl.create 8;
-    m_registry = m;
-    m_inflight =
-      Metrics.gauge m ~help:"Requests currently being handled"
-        "fpga_server_inflight_requests";
-    m_lat_hit = lat "hit";
-    m_lat_miss = lat "miss";
-    m_req_nodes =
-      Metrics.histogram m ~help:"Solver nodes spent per request"
-        ~buckets:Metrics.node_buckets "fpga_server_request_solver_nodes";
+    inflight = 0;
+    lat_hit = Metrics.histogram Metrics.latency_buckets;
+    lat_miss = Metrics.histogram Metrics.latency_buckets;
+    req_nodes = Metrics.histogram Metrics.node_buckets;
+    solver = Solver.empty_stats;
+    work = T.zero_steals;
+    worker_nodes = Hashtbl.create 4;
   }
 
 type meta = {
@@ -254,12 +243,27 @@ let options_for t req events =
                     ])));
     }
 
-(* Per-probe accounting for the minimization drivers: nodes always sum
-   into the request's total; feasible probes additionally stream an
+(* The solver work of one request: stats merged over every solve it
+   ran, plus the worker reports of the multi-domain ones (a [jobs = 1]
+   report's single worker is the sequential solve itself). *)
+type work = { stats : Solver.stats; workers : Par.worker_report list }
+
+let no_work = { stats = Solver.empty_stats; workers = [] }
+
+let add_work w stats (r : Par.report) =
+  {
+    stats = Solver.merge_stats w.stats stats;
+    workers = (if r.Par.jobs > 1 then w.workers @ r.Par.workers else w.workers);
+  }
+
+(* Per-probe accounting for the minimization drivers: every probe's
+   report joins the request's work (its bounds including the run's
+   shared stage-1 engine); feasible probes additionally stream an
    incumbent event when heartbeats are on. *)
-let probe_hook t req events nodes_acc =
+let probe_hook t req events work =
   fun (p : Problems.probe) ->
-    nodes_acc := !nodes_acc + p.Problems.nodes;
+    let r = p.Problems.report in
+    work := add_work !work { r.Par.stats with bounds = p.Problems.bounds } r;
     match (t.config.heartbeat_s, p.Problems.verdict) with
     | Some _, `Feasible ->
       Writer.line events
@@ -284,8 +288,8 @@ let solve_request t req events (canon : Canonical.t) =
     max 1 (Option.value req.req_jobs ~default:t.config.solver_jobs)
   in
   let options = options_for t req events in
-  let nodes = ref 0 in
-  let on_probe = probe_hook t req events nodes in
+  let work = ref no_work in
+  let on_probe = probe_hook t req events work in
   let solved =
     match req.op with
     | Op_solve ->
@@ -296,9 +300,9 @@ let solve_request t req events (canon : Canonical.t) =
         (* One code path for every job count: the work-stealing kernel
            short-circuits [jobs = 1] to the sequential solver with zero
            domain overhead, so the server no longer special-cases it. *)
-        let r = Packing.Parallel_solver.solve ~options ~jobs inst container in
-        nodes := !nodes + r.Packing.Parallel_solver.stats.Solver.nodes;
-        r.Packing.Parallel_solver.outcome
+        let r = Par.solve ~options ~jobs inst container in
+        work := add_work !work r.Par.stats r;
+        r.Par.outcome
       in
       R_feas
         (match outcome with
@@ -312,7 +316,7 @@ let solve_request t req events (canon : Canonical.t) =
       let t_max = Result.get_ok (resolve_time req) in
       R_any (Problems.minimize_base ~options ~jobs ~on_probe inst ~t_max)
   in
-  (solved, !nodes)
+  (solved, !work)
 
 (* ------------------------------------------------------------------ *)
 (* Response rendering (back in the request's own task space)           *)
@@ -379,47 +383,150 @@ let cache_key req (canon : Canonical.t) =
     let t_max = Result.get_ok (resolve_time req) in
     Printf.sprintf "min-area:%d|%s" t_max canon.Canonical.key
 
-let account ?(op = "invalid") ?(cache_hit = false) ?(elapsed_s = 0.0) t ~error
-    ~nodes =
+let bump tbl key n =
+  Hashtbl.replace tbl key (n + Option.value (Hashtbl.find_opt tbl key) ~default:0)
+
+let account ?(op = "invalid") ?(cache_hit = false) ?(elapsed_s = 0.0)
+    ?(work = no_work) ?(inflight = 0) t ~error =
+  let nodes = work.stats.Solver.nodes in
   Mutex.protect t.lock (fun () ->
-      t.requests <- t.requests + 1;
-      if error then t.errors <- t.errors + 1;
+      bump t.requests (op, if error then "error" else "ok") 1;
       t.nodes_total <- t.nodes_total + nodes;
       t.latencies <- elapsed_s :: t.latencies;
-      Hashtbl.replace t.op_counts op
-        (1 + Option.value (Hashtbl.find_opt t.op_counts op) ~default:0));
-  Metrics.incr
-    (Metrics.counter t.m_registry ~help:"Requests by op and status"
-       ~labels:
-         [ ("op", op); ("status", (if error then "error" else "ok")) ]
-       "fpga_server_requests_total");
-  Metrics.observe (if cache_hit then t.m_lat_hit else t.m_lat_miss) elapsed_s;
-  if nodes > 0 then Metrics.observe t.m_req_nodes (float_of_int nodes)
+      t.inflight <- t.inflight + inflight;
+      Metrics.observe (if cache_hit then t.lat_hit else t.lat_miss) elapsed_s;
+      if nodes > 0 then Metrics.observe t.req_nodes (float_of_int nodes);
+      if work != no_work then begin
+        t.solver <- Solver.merge_stats t.solver work.stats;
+        List.iter
+          (fun (w : Par.worker_report) ->
+            t.work <- T.add_steals t.work w.Par.work;
+            bump t.worker_nodes w.Par.worker w.Par.stats.Solver.nodes)
+          work.workers
+      end)
 
-let metrics_json () = Metrics.(to_json (snapshot (default ())))
-let metrics_text () = Metrics.(to_prometheus (snapshot (default ())))
+(* ------------------------------------------------------------------ *)
+(* Metrics: a view of the counts above, built when it is read          *)
+(* ------------------------------------------------------------------ *)
+
+let metrics t =
+  let cache = Result_cache.counters t.cache in
+  Mutex.protect t.lock (fun () ->
+      let s = t.solver and w = t.work in
+      let n v = Metrics.Sample (float_of_int v) in
+      let family kind name help rows =
+        {
+          Metrics.name;
+          kind;
+          help;
+          samples =
+            List.map
+              (fun (labels, value) -> { Metrics.labels; value })
+              (List.sort compare rows);
+        }
+      in
+      let counter = family Metrics.Counter and gauge = family Metrics.Gauge in
+      let one v = [ ([], v) ] in
+      let by label keys f = List.map (fun k -> ([ (label, k) ], f k)) keys in
+      let bound f b =
+        f (Option.value (List.assoc_opt b s.Solver.bounds) ~default:T.zero_bound)
+      in
+      let bounds = Packing.Bound_engine.default_names in
+      let parallel =
+        if Hashtbl.length t.worker_nodes = 0 then []
+        else
+          [
+            counter "fpga_parallel_tasks_total" "Subtree descriptors executed"
+              (one (n w.T.tasks));
+            counter "fpga_parallel_steals_total"
+              "Descriptors taken from another worker's deque" (one (n w.T.steals));
+            counter "fpga_parallel_donated_total"
+              "Alternative branches published while descending" (one (n w.T.donated));
+            counter "fpga_parallel_reclaimed_total"
+              "Donated branches taken back unstolen" (one (n w.T.reclaimed));
+            counter "fpga_parallel_worker_nodes_total" "Search nodes by worker"
+              (Hashtbl.fold
+                 (fun id v acc -> ([ ("worker", string_of_int id) ], n v) :: acc)
+                 t.worker_nodes []);
+          ]
+      in
+      [
+        counter "fpga_bounds_calls_total" "Bound evaluations by bound"
+          (by "bound" bounds (bound (fun c -> n c.T.calls)));
+        counter "fpga_bounds_prunes_total" "Infeasible verdicts by bound"
+          (by "bound" bounds (bound (fun c -> n c.T.prunes)));
+        counter "fpga_bounds_seconds_total" "Seconds spent evaluating each bound"
+          (by "bound" bounds (bound (fun c -> Metrics.Sample c.T.time_s)));
+        gauge "fpga_cache_capacity" "Result cache capacity"
+          (one (n cache.T.cache_capacity));
+        gauge "fpga_cache_entries" "Result cache live entries"
+          (one (n cache.T.cache_entries));
+        counter "fpga_cache_evictions_total" "Result cache evictions"
+          (one (n cache.T.cache_evictions));
+        counter "fpga_cache_hits_total" "Result cache hits" (one (n cache.T.cache_hits));
+        counter "fpga_cache_misses_total" "Result cache misses"
+          (one (n cache.T.cache_misses));
+        gauge "fpga_server_inflight_requests" "Requests currently being handled"
+          (one (n t.inflight));
+        family Metrics.Histogram "fpga_server_request_seconds"
+          "Request wall-clock latency"
+          [
+            ([ ("cache", "hit") ], Metrics.buckets t.lat_hit);
+            ([ ("cache", "miss") ], Metrics.buckets t.lat_miss);
+          ];
+        family Metrics.Histogram "fpga_server_request_solver_nodes"
+          "Solver nodes spent per request" (one (Metrics.buckets t.req_nodes));
+        counter "fpga_server_requests_total" "Requests by op and status"
+          (Hashtbl.fold
+             (fun (op, status) v acc -> ([ ("op", op); ("status", status) ], n v) :: acc)
+             t.requests []);
+        counter "fpga_solver_conflicts_total" "Search conflicts (refuted nodes)"
+          (one (n s.Solver.conflicts));
+        counter "fpga_solver_decisions_total" "Branch points expanded"
+          (one (n s.Solver.decisions));
+        counter "fpga_solver_leaves_total" "Fully decided leaves reached"
+          (one (n s.Solver.leaves));
+        counter "fpga_solver_nodes_total" "Search nodes visited" (one (n s.Solver.nodes));
+        counter "fpga_solver_realize_attempts_total"
+          "Realization (placement reconstruction) attempts"
+          (one (n s.Solver.rules.T.realize_attempts));
+        counter "fpga_solver_realize_seconds_total"
+          "Seconds spent in realization attempts"
+          (one (Metrics.Sample s.Solver.rules.T.realize_time_s));
+        counter "fpga_solver_rule_conflicts_total" "Packing-rule conflicts by rule"
+          (by "rule" Packing.Packing_state.rule_names (fun r ->
+               n
+                 (Option.value
+                    (List.assoc_opt r s.Solver.rules.T.conflicts)
+                    ~default:0)));
+      ]
+      @ parallel
+      |> List.filter (fun f -> f.Metrics.samples <> [])
+      |> List.sort (fun a b -> compare a.Metrics.name b.Metrics.name))
+
+let metrics_json t = Metrics.to_json (metrics t)
+let metrics_text t = Metrics.to_prometheus (metrics t)
 
 let handle_request t events req_json =
   let t0 = Unix.gettimeofday () in
-  Metrics.shift t.m_inflight 1.0;
-  let finish ?(op = "invalid") ?(digest = "") ?(cache_hit = false) ?(nodes = 0)
-      ~error resp =
+  Mutex.protect t.lock (fun () -> t.inflight <- t.inflight + 1);
+  let finish ?(op = "invalid") ?(digest = "") ?(cache_hit = false)
+      ?(work = no_work) ~error resp =
     let elapsed_s = Unix.gettimeofday () -. t0 in
-    account t ~op ~cache_hit ~elapsed_s ~error ~nodes;
-    Metrics.shift t.m_inflight (-1.0);
-    (resp, { cache_hit; nodes; elapsed_s; digest })
+    account t ~op ~cache_hit ~elapsed_s ~work ~inflight:(-1) ~error;
+    (resp, { cache_hit; nodes = work.stats.Solver.nodes; elapsed_s; digest })
   in
   match T.member "op" req_json with
   | Some (T.String "metrics") ->
-    (* Introspection op: answered from the process registry without
-       touching the solver pipeline. *)
+    (* Introspection op: answered from the server's own accounting
+       without touching the solver pipeline. *)
     let id = Option.value (T.member "id" req_json) ~default:T.Null in
     finish ~op:"metrics" ~error:false
       (T.Obj
          [
            ("id", id);
            ("op", T.String "metrics");
-           ("metrics", metrics_json ());
+           ("metrics", metrics_json t);
          ])
   | _ -> (
   match parse_request req_json with
@@ -452,10 +559,10 @@ let handle_request t events req_json =
           finish ~op ~digest:canon.Canonical.digest ~cache_hit:true
             ~error:false (render req canon solved)
         | None ->
-          let solved, nodes = solve_request t req events canon in
+          let solved, work = solve_request t req events canon in
           if t.config.use_cache && is_definitive solved then
             Result_cache.add t.cache key solved;
-          finish ~op ~digest:canon.Canonical.digest ~nodes ~error:false
+          finish ~op ~digest:canon.Canonical.digest ~work ~error:false
             (render req canon solved)
       with
       | result -> result
@@ -474,7 +581,7 @@ let handle_line t w line =
     let resp =
       match T.of_string line with
       | Error msg ->
-        account t ~error:true ~nodes:0;
+        account t ~error:true;
         error_response T.Null "parse" msg
       | Ok json -> (
         match handle_request t w json with
@@ -482,7 +589,7 @@ let handle_line t w line =
         | exception exn ->
           (* handle_request already catches everything it can; this is
              the last-resort belt so the loop never dies *)
-          account t ~error:true ~nodes:0;
+          account t ~error:true;
           error_response T.Null "internal" (Printexc.to_string exn))
     in
     Writer.line w (T.to_string resp)
@@ -563,10 +670,10 @@ let serve_tcp t ~port =
 (* ------------------------------------------------------------------ *)
 
 (* Prometheus-style scrape endpoint: each connection gets one text
-   exposition of the default registry and is closed. The socket is
+   exposition of [metrics t] and is closed. The socket is
    bound in the caller (a port clash raises synchronously); the accept
    loop runs on its own domain and never returns. *)
-let serve_metrics ~port =
+let serve_metrics t ~port =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
@@ -576,7 +683,7 @@ let serve_metrics ~port =
         let fd, _peer = Unix.accept sock in
         let oc = Unix.out_channel_of_descr fd in
         (try
-           output_string oc (metrics_text ());
+           output_string oc (metrics_text t);
            flush oc
          with Sys_error _ | Unix.Unix_error _ -> ());
         try Unix.close fd with Unix.Unix_error _ -> ()
@@ -585,7 +692,7 @@ let serve_metrics ~port =
 (* Periodic JSONL snapshot dump on the heartbeat cadence. Returns the
    stop function: it joins the dumper and writes one final snapshot so
    a short-lived server still leaves a record. *)
-let start_metrics_dump ~path ~interval_s =
+let start_metrics_dump t ~path ~interval_s =
   let oc = open_out path in
   let w = Writer.of_channel oc in
   let dump () =
@@ -595,7 +702,7 @@ let start_metrics_dump ~path ~interval_s =
             [
               ("ev", T.String "metrics");
               ("ts", T.seconds (Unix.gettimeofday ()));
-              ("metrics", metrics_json ());
+              ("metrics", metrics_json t);
             ]))
   in
   let stop = Atomic.make false in
@@ -625,20 +732,22 @@ let start_metrics_dump ~path ~interval_s =
 let cache_counters t = Result_cache.counters t.cache
 
 let stats_json t =
-  let requests, errors, nodes, latencies, ops =
+  let requests, nodes, latencies =
     Mutex.protect t.lock (fun () ->
-        ( t.requests,
-          t.errors,
+        ( Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.requests [],
           t.nodes_total,
-          t.latencies,
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.op_counts [] ))
+          t.latencies ))
   in
+  let sum p =
+    List.fold_left (fun acc (k, v) -> if p k then acc + v else acc) 0 requests
+  in
+  let ops = List.sort_uniq compare (List.map (fun ((op, _), _) -> op) requests) in
   let lat = Array.of_list latencies in
   T.Obj
     [
       ("ev", T.String "stats");
-      ("requests", T.Int requests);
-      ("errors", T.Int errors);
+      ("requests", T.Int (sum (fun _ -> true)));
+      ("errors", T.Int (sum (fun (_, status) -> status = "error")));
       ("nodes", T.Int nodes);
       ( "latency",
         T.Obj
@@ -648,7 +757,6 @@ let stats_json t =
             ("p99_s", T.seconds (T.percentile lat ~p:0.99));
           ] );
       ( "ops",
-        T.Obj
-          (List.sort compare ops |> List.map (fun (k, v) -> (k, T.Int v))) );
+        T.Obj (List.map (fun op -> (op, T.Int (sum (fun (o, _) -> o = op)))) ops) );
       ("cache", T.cache_to_json (Result_cache.counters t.cache));
     ]

@@ -89,30 +89,42 @@ val serve_tcp : t -> port:int -> unit
 
 (** {1 Metrics exposition}
 
+    The metrics are a view, built when they are read, of counts the
+    server already keeps: the result cache's counters, one request
+    count per (op, status), latency histograms split by cache
+    disposition, a per-request node histogram, the in-flight count, and
+    the solver stats (plus per-worker totals of multi-domain solves)
+    folded from every solve the answered requests ran. Solver counters
+    therefore advance when a request completes, not while it runs; a
+    running request shows in [fpga_server_inflight_requests] and, with
+    heartbeats on, in its progress events.
+
     Besides the normal protocol ops, a request line [{"op":"metrics"}]
-    is answered with a JSON snapshot of the process metrics registry
-    ({!Packing.Metrics.default}) without touching the solver pipeline. *)
+    is answered with {!metrics_json} without touching the solver
+    pipeline. *)
 
-(** One Prometheus text exposition of the default registry. *)
-val metrics_text : unit -> string
+(** One snapshot of the server's counters. *)
+val metrics : t -> Metrics.snapshot
 
-(** One JSON snapshot of the default registry
-    ({!Packing.Metrics.to_json}). *)
-val metrics_json : unit -> Packing.Telemetry.json
+(** {!metrics} as one Prometheus text exposition. *)
+val metrics_text : t -> string
 
-(** [serve_metrics ~port] binds [127.0.0.1:port] (raising on a clash,
+(** {!metrics} as JSON ({!Metrics.to_json}). *)
+val metrics_json : t -> Packing.Telemetry.json
+
+(** [serve_metrics t ~port] binds [127.0.0.1:port] (raising on a clash,
     synchronously) and spawns a domain that answers every connection
     with one {!metrics_text} exposition and closes it — a minimal
     Prometheus scrape target. The domain never terminates; the handle
     is returned for symmetry but joining it never succeeds. *)
-val serve_metrics : port:int -> unit Domain.t
+val serve_metrics : t -> port:int -> unit Domain.t
 
-(** [start_metrics_dump ~path ~interval_s] opens [path] and spawns a
+(** [start_metrics_dump t ~path ~interval_s] opens [path] and spawns a
     domain appending one [{"ev":"metrics", "ts":..., "metrics":{...}}]
     line every [interval_s] seconds through a {!Writer}. Returns the
     stop function, which joins the dumper, writes one final snapshot,
     and closes the file. *)
-val start_metrics_dump : path:string -> interval_s:float -> unit -> unit
+val start_metrics_dump : t -> path:string -> interval_s:float -> unit -> unit
 
 val cache_counters : t -> Packing.Telemetry.cache_counters
 

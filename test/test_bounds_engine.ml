@@ -237,6 +237,32 @@ let test_check_oriented_uses_arcs () =
   | Engine.Infeasible _ -> ()
   | _ -> Alcotest.fail "oriented chain 3+3 must refute t_max = 5"
 
+(* A 10^8-cell chip side: the DFF and energetic products used to wrap
+   past max_int into an [Infeasible] certificate at 0 nodes (dff-volume
+   blamed), while 10^7 answered feasible. No bound may refute it now,
+   the solver must find the witness, and a container that really is
+   too short must still be refuted through the saturated products. *)
+let test_huge_container_no_overflow () =
+  let de = Benchmarks.De.instance in
+  let side = 100_000_000 in
+  let huge = cont3 side side 14 in
+  List.iter
+    (fun (name, v) ->
+      match v with
+      | Engine.Infeasible c ->
+        Alcotest.failf "%s refutes the 10^8 chip: %s" name c.Engine.detail
+      | Engine.Lower_bound _ | Engine.Inconclusive -> ())
+    (Engine.run_all (Engine.create ()) de huge);
+  (match Solver.solve de huge with
+  | Solver.Feasible _, _ -> ()
+  | o, _ -> Alcotest.failf "10^8 chip: %a" Solver.pp_outcome o);
+  (match Engine.check (Engine.create ()) de (cont3 side side 5) with
+  | Engine.Infeasible _ -> ()
+  | v -> Alcotest.failf "5 cycles < critical path 6: %a" Engine.pp_verdict v);
+  Alcotest.(check int) "saturating product" max_int (Engine.sat_mul side (side * side));
+  Alcotest.(check int) "exact product below max_int" (side * side)
+    (Engine.sat_mul side side)
+
 let () =
   Alcotest.run "bounds engine"
     [
@@ -268,5 +294,10 @@ let () =
         [
           Alcotest.test_case "check_oriented uses arcs" `Quick
             test_check_oriented_uses_arcs;
+        ] );
+      ( "overflow",
+        [
+          Alcotest.test_case "10^8 chip is not refuted" `Quick
+            test_huge_container_no_overflow;
         ] );
     ]

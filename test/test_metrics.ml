@@ -1,101 +1,29 @@
-(* Metrics registry tests:
+(* Metrics format tests, on literal snapshots and the histogram
+   accumulator:
 
-   - handles re-registered under the same name+labels accumulate into
-     the same cells, and per-domain shards merge to the exact total
-     once the writer domains are joined;
    - histogram buckets come out cumulative, monotone, ending in +Inf
      with the last bucket equal to the observation count;
-   - the null registry is a true no-op surface (and snapshots empty);
-   - exposition is byte-deterministic and [of_prometheus] /
-     [of_json] invert the renderers;
-   - registration validates names and rejects kind clashes. *)
+   - [log_buckets] rejects ladders that are not finite and growing;
+   - exposition is byte-deterministic, [of_prometheus] / [of_json]
+     invert the renderers, and [of_prometheus] rejects malformed
+     input;
+   - the human table shows every series, with bucket-resolution
+     quantiles for histograms. *)
 
-module M = Packing.Metrics
+module M = Service.Metrics
 module T = Packing.Telemetry
 
 let qtest ?(count = 200) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
-
-let find_family snap name =
-  match List.find_opt (fun f -> f.M.name = name) snap with
-  | Some f -> f
-  | None -> Alcotest.failf "no family %S in snapshot" name
-
-let the_sample fam =
-  match fam.M.samples with
-  | [ s ] -> s
-  | l -> Alcotest.failf "expected one sample in %s, got %d" fam.M.name
-           (List.length l)
-
-let sample_value s =
-  match s.M.value with
-  | M.Sample v -> v
-  | M.Buckets _ -> Alcotest.fail "expected a scalar sample"
-
-(* ------------------------------------------------------------------ *)
-(* Accumulation and sharding                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_reregistration_accumulates () =
-  let m = M.create () in
-  let a = M.counter m "acc_total" in
-  M.add a 3;
-  (* a second registration of the same series must hit the same cells *)
-  let b = M.counter m ~help:"later help is ignored" "acc_total" in
-  M.incr b;
-  M.incr a;
-  let v = sample_value (the_sample (find_family (M.snapshot m) "acc_total")) in
-  Alcotest.(check (float 0.0)) "both handles feed one series" 5.0 v;
-  (* distinct labels are distinct series *)
-  let l1 = M.counter m ~labels:[ ("k", "x") ] "lab_total" in
-  let l2 = M.counter m ~labels:[ ("k", "y") ] "lab_total" in
-  M.add l1 2;
-  M.incr l2;
-  let fam = find_family (M.snapshot m) "lab_total" in
-  Alcotest.(check int) "two label sets, two samples" 2
-    (List.length fam.M.samples);
-  let total =
-    List.fold_left (fun acc s -> acc +. sample_value s) 0.0 fam.M.samples
-  in
-  Alcotest.(check (float 0.0)) "labelled totals" 3.0 total
-
-let test_multidomain_merge () =
-  let m = M.create () in
-  let c = M.counter m "sharded_total" in
-  let h = M.histogram m ~buckets:[| 1.0; 10.0 |] "sharded_seconds" in
-  let per_domain = 10_000 in
-  let domains =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 1 to per_domain do
-              M.incr c;
-              M.observe h (if (i + d) mod 2 = 0 then 0.5 else 5.0)
-            done))
-  in
-  (* the writers also include this domain *)
-  for _ = 1 to per_domain do
-    M.incr c
-  done;
-  List.iter Domain.join domains;
-  let snap = M.snapshot m in
-  let v = sample_value (the_sample (find_family snap "sharded_total")) in
-  Alcotest.(check (float 0.0)) "joined shards merge exactly"
-    (float_of_int (5 * per_domain))
-    v;
-  match (the_sample (find_family snap "sharded_seconds")).M.value with
-  | M.Buckets { count; _ } ->
-    Alcotest.(check int) "all observations counted" (4 * per_domain) count
-  | M.Sample _ -> Alcotest.fail "histogram lost its buckets"
 
 (* ------------------------------------------------------------------ *)
 (* Histogram shape                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_histogram_cumulative () =
-  let m = M.create () in
-  let h = M.histogram m ~buckets:[| 0.1; 1.0; 10.0 |] "hist_seconds" in
+  let h = M.histogram [| 0.1; 1.0; 10.0 |] in
   List.iter (M.observe h) [ 0.05; 0.5; 0.5; 5.0; 50.0 ];
-  match (the_sample (find_family (M.snapshot m) "hist_seconds")).M.value with
+  match M.buckets h with
   | M.Sample _ -> Alcotest.fail "expected buckets"
   | M.Buckets { le; cumulative; sum; count } ->
     Alcotest.(check int) "+Inf bucket appended" 4 (Array.length le);
@@ -114,66 +42,87 @@ let arb_observations =
   QCheck.(list_of_size Gen.(0 -- 200) (float_bound_exclusive 100.0))
 
 let prop_histogram_totals obs =
-  let m = M.create () in
-  let h = M.histogram m ~buckets:(M.log_buckets ~lo:0.01 ~ratio:3.0 ~count:6)
-      "prop_hist" in
+  let h = M.histogram (M.log_buckets ~lo:0.01 ~ratio:3.0 ~count:6) in
   List.iter (M.observe h) obs;
-  match (the_sample (find_family (M.snapshot m) "prop_hist")).M.value with
+  match M.buckets h with
   | M.Sample _ -> false
   | M.Buckets { cumulative; sum; count; _ } ->
     count = List.length obs
     && cumulative.(Array.length cumulative - 1) = count
     && abs_float (sum -. List.fold_left ( +. ) 0.0 obs) < 1e-6
 
-(* ------------------------------------------------------------------ *)
-(* Null registry                                                       *)
-(* ------------------------------------------------------------------ *)
+let expect_invalid what f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s did not raise" what
 
-let test_null_is_noop () =
-  Alcotest.(check bool) "null is disabled" false (M.enabled M.null);
-  let c = M.counter M.null "x_total" in
-  let g = M.gauge M.null "x" in
-  let h = M.histogram M.null "x_seconds" in
-  M.incr c;
-  M.add c 10;
-  M.addf c 1.5;
-  M.set g 3.0;
-  M.shift g (-1.0);
-  M.observe h 0.25;
-  Alcotest.(check int) "null snapshot is empty" 0
-    (List.length (M.snapshot M.null));
-  Alcotest.(check string) "null exposition is empty" ""
-    (M.to_prometheus (M.snapshot M.null))
-
-(* ------------------------------------------------------------------ *)
-(* Gauges                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_gauge_set_shift () =
-  let m = M.create () in
-  let g = M.gauge m "level" in
-  M.set g 4.0;
-  M.shift g 2.0;
-  M.shift g (-5.0);
-  let v = sample_value (the_sample (find_family (M.snapshot m) "level")) in
-  Alcotest.(check (float 0.0)) "set + shifts" 1.0 v
+let test_log_buckets_validation () =
+  expect_invalid "lo <= 0" (fun () ->
+      M.log_buckets ~lo:0.0 ~ratio:2.0 ~count:3);
+  expect_invalid "infinite lo" (fun () ->
+      M.log_buckets ~lo:infinity ~ratio:2.0 ~count:3);
+  expect_invalid "ratio <= 1" (fun () ->
+      M.log_buckets ~lo:1.0 ~ratio:1.0 ~count:3);
+  expect_invalid "count < 1" (fun () ->
+      M.log_buckets ~lo:1.0 ~ratio:2.0 ~count:0);
+  Alcotest.(check (array (float 1e-12))) "geometric ladder"
+    [| 0.5; 1.0; 2.0; 4.0 |]
+    (M.log_buckets ~lo:0.5 ~ratio:2.0 ~count:4);
+  let increasing a =
+    let ok = ref true in
+    Array.iteri (fun i x -> if i > 0 && x <= a.(i - 1) then ok := false) a;
+    !ok
+  in
+  Alcotest.(check bool) "latency ladder increasing" true
+    (increasing M.latency_buckets);
+  Alcotest.(check bool) "node ladder increasing" true
+    (increasing M.node_buckets)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering: determinism and round trips                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A literal snapshot in canonical order, with escapes in a help text
+   and a label value. *)
 let populated () =
-  let m = M.create () in
-  let c = M.counter m ~help:"with \"quotes\" and back\\slash"
-      ~labels:[ ("op", "solve"); ("status", "ok") ] "req_total" in
-  M.add c 7;
-  M.incr (M.counter m ~labels:[ ("op", "min-time"); ("status", "error") ]
-            "req_total");
-  M.set (M.gauge m ~help:"a gauge" "inflight") 2.0;
-  let h = M.histogram m ~buckets:[| 0.001; 0.1; 1.0 |] ~help:"latency"
-      ~labels:[ ("cache", "hit\nmiss") ] "lat_seconds" in
-  List.iter (M.observe h) [ 0.0005; 0.05; 0.5; 5.0 ];
-  M.snapshot m
+  let sample labels v = { M.labels; value = M.Sample v } in
+  [
+    {
+      M.name = "inflight";
+      kind = M.Gauge;
+      help = "a gauge";
+      samples = [ sample [] 2.0 ];
+    };
+    {
+      M.name = "lat_seconds";
+      kind = M.Histogram;
+      help = "latency";
+      samples =
+        [
+          {
+            M.labels = [ ("cache", "hit\nmiss") ];
+            value =
+              M.Buckets
+                {
+                  le = [| 0.001; 0.1; 1.0; infinity |];
+                  cumulative = [| 1; 2; 3; 4 |];
+                  sum = 5.5505;
+                  count = 4;
+                };
+          };
+        ];
+    };
+    {
+      M.name = "req_total";
+      kind = M.Counter;
+      help = "with \"quotes\" and back\\slash";
+      samples =
+        [
+          sample [ ("op", "min-time"); ("status", "error") ] 1.0;
+          sample [ ("op", "solve"); ("status", "ok") ] 7.0;
+        ];
+    };
+  ]
 
 let test_exposition_deterministic () =
   let s = populated () in
@@ -189,7 +138,8 @@ let test_prometheus_round_trip () =
   match M.of_prometheus text with
   | Error e -> Alcotest.failf "own exposition rejected: %s" e
   | Ok s' ->
-    Alcotest.(check string) "parse inverts render" text (M.to_prometheus s')
+    Alcotest.(check string) "parse inverts render" text (M.to_prometheus s');
+    Alcotest.(check bool) "parse restores the literal snapshot" true (s' = s)
 
 let test_json_round_trip () =
   let s = populated () in
@@ -201,7 +151,8 @@ let test_json_round_trip () =
     | Error e -> Alcotest.failf "own JSON rejected: %s" e
     | Ok s' ->
       Alcotest.(check string) "JSON round-trip preserves the snapshot"
-        (M.to_prometheus s) (M.to_prometheus s'))
+        (M.to_prometheus s) (M.to_prometheus s');
+      Alcotest.(check bool) "JSON restores the literal snapshot" true (s' = s))
 
 let test_of_prometheus_rejects_malformed () =
   let cases =
@@ -226,101 +177,58 @@ let test_of_prometheus_rejects_malformed () =
     cases
 
 (* ------------------------------------------------------------------ *)
-(* Registration validation                                             *)
+(* Human table                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let expect_invalid what f =
-  match f () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.failf "%s did not raise" what
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
-let test_registration_validation () =
-  let m = M.create () in
-  ignore (M.counter m "fine_total");
-  expect_invalid "kind clash" (fun () -> M.gauge m "fine_total");
-  expect_invalid "bad metric name" (fun () -> M.counter m "0bad");
-  expect_invalid "bad label name" (fun () ->
-      M.counter m ~labels:[ ("0bad", "v") ] "labelled_total");
-  expect_invalid "duplicate label keys" (fun () ->
-      M.counter m ~labels:[ ("k", "a"); ("k", "b") ] "labelled_total");
-  expect_invalid "non-increasing buckets" (fun () ->
-      M.histogram m ~buckets:[| 1.0; 1.0 |] "flat_seconds");
-  expect_invalid "infinite explicit bucket" (fun () ->
-      M.histogram m ~buckets:[| 1.0; infinity |] "inf_seconds");
-  expect_invalid "log_buckets lo <= 0" (fun () ->
-      M.log_buckets ~lo:0.0 ~ratio:2.0 ~count:3)
-
-(* ------------------------------------------------------------------ *)
-(* Online instrumentation: the stream flushes its counters and gauges  *)
-(* ------------------------------------------------------------------ *)
-
-let test_online_instrumentation () =
-  let registry = M.create () in
-  M.set_default registry;
-  Fun.protect ~finally:(fun () -> M.set_default M.null) @@ fun () ->
-  let t ?(preds = []) ?(arrival = 0) w h duration =
-    { Fpga.Online.w; h; duration; arrival; preds }
+let test_pp_table () =
+  let text = Format.asprintf "%a" M.pp_table (populated ()) in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) (Printf.sprintf "table shows %S" line) true
+        (contains text line))
+    [
+      "inflight (gauge) — a gauge";
+      "lat_seconds (histogram) — latency";
+      "req_total (counter)";
+      "op=solve,status=ok";
+      "op=min-time,status=error";
+      (* 4 observations: the 2nd lands in le=0.1, the 4th only in +Inf *)
+      "count=4 sum=5.5505 p50<=0.1 p99<=+Inf";
+    ];
+  let empty =
+    [
+      {
+        M.name = "idle_seconds";
+        kind = M.Histogram;
+        help = "";
+        samples =
+          [ { M.labels = []; value = M.buckets (M.histogram [| 1.0 |]) } ];
+      };
+    ]
   in
-  let tasks = [| t 2 2 3; t 2 2 3; t ~preds:[ 0 ] ~arrival:1 3 3 2 |] in
-  let report =
-    Fpga.Online.run_stream ~policy:Fpga.Online.Best_fit tasks
-      ~chip:(Fpga.Chip.create ~w:4 ~h:4) ~compaction:false ~move_delay:0
-  in
-  let snap = M.snapshot registry in
-  let total name =
-    match List.find_opt (fun f -> f.M.name = name) snap with
-    | None -> Alcotest.failf "online never registered %s" name
-    | Some f ->
-      List.fold_left
-        (fun acc s ->
-          match s.M.value with M.Sample v -> acc +. v | M.Buckets _ -> acc)
-        0.0 f.M.samples
-  in
-  Alcotest.(check (float 0.0)) "placements counted"
-    (float_of_int report.Fpga.Online.placed)
-    (total "fpga_online_placements_total");
-  Alcotest.(check (float 0.0)) "rejections counted"
-    (float_of_int report.Fpga.Online.rejected)
-    (total "fpga_online_rejections_total");
-  let u = total "fpga_online_utilization" in
-  Alcotest.(check bool) "utilization gauge in [0,1]" true
-    (0.0 <= u && u <= 1.0);
-  Alcotest.(check bool) "MER gauge present" true
-    (total "fpga_online_mer_count" >= 0.0);
-  match
-    List.find_opt (fun f -> f.M.name = "fpga_online_place_seconds") snap
-  with
-  | None -> Alcotest.fail "no place-latency histogram"
-  | Some f -> (
-    match f.M.samples with
-    | [ { M.value = M.Buckets { count; _ }; _ } ] ->
-      Alcotest.(check int) "one latency observation per placement"
-        report.Fpga.Online.placed count
-    | _ -> Alcotest.fail "unexpected histogram shape")
+  Alcotest.(check bool) "empty histogram has no quantiles" true
+    (contains
+       (Format.asprintf "%a" M.pp_table empty)
+       "count=0 sum=0 p50- p99-")
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "metrics"
     [
-      ( "registry",
-        [
-          Alcotest.test_case "re-registration accumulates" `Quick
-            test_reregistration_accumulates;
-          Alcotest.test_case "multi-domain shards merge exactly" `Quick
-            test_multidomain_merge;
-          Alcotest.test_case "gauge set and shift" `Quick test_gauge_set_shift;
-          Alcotest.test_case "null registry is a no-op" `Quick
-            test_null_is_noop;
-          Alcotest.test_case "registration validates" `Quick
-            test_registration_validation;
-        ] );
       ( "histograms",
         [
           Alcotest.test_case "buckets cumulative, +Inf, count, sum" `Quick
             test_histogram_cumulative;
           qtest ~count:100 "count and sum match the observations"
             arb_observations prop_histogram_totals;
+          Alcotest.test_case "log_buckets validates its ladder" `Quick
+            test_log_buckets_validation;
         ] );
       ( "rendering",
         [
@@ -333,9 +241,9 @@ let () =
           Alcotest.test_case "of_prometheus rejects malformed input" `Quick
             test_of_prometheus_rejects_malformed;
         ] );
-      ( "instrumentation",
+      ( "table rendering",
         [
-          Alcotest.test_case "online stream flushes counters and gauges"
-            `Quick test_online_instrumentation;
+          Alcotest.test_case "pp_table shows series and quantiles" `Quick
+            test_pp_table;
         ] );
     ]

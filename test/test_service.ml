@@ -13,7 +13,8 @@ module Placement = Geometry.Placement
 module Canonical = Service.Canonical
 module Server = Service.Server
 module Writer = Service.Writer
-module M = Packing.Metrics
+module M = Service.Metrics
+module Par = Packing.Parallel_solver
 
 let fixed_rand () =
   match Sys.getenv_opt "QCHECK_SEED" with
@@ -466,9 +467,6 @@ let histogram_count snap name label =
    must carry the same split under its cache=hit|miss label — the
    populations an operator would graph to see cache effectiveness. *)
 let test_metrics_hit_miss_populations () =
-  let registry = M.create () in
-  M.set_default registry;
-  Fun.protect ~finally:(fun () -> M.set_default M.null) @@ fun () ->
   let server = Server.create () in
   let rng = Random.State.make [| 11 |] in
   let insts =
@@ -491,7 +489,7 @@ let test_metrics_hit_miss_populations () =
   in
   let w = Writer.of_sink (fun _ -> ()) in
   List.iter (Server.handle_line server w) lines;
-  let snap = M.snapshot registry in
+  let snap = Server.metrics server in
   Alcotest.(check (float 0.0)) "exactly two cache hits" 2.0
     (counter_total snap "fpga_cache_hits_total");
   Alcotest.(check (float 0.0)) "exactly three cache misses" 3.0
@@ -526,7 +524,7 @@ let test_metrics_hit_miss_populations () =
     Alcotest.failf "ops.solve = %s"
       (match other with Some j -> T.to_string j | None -> "absent"));
   (* the exposition must be well-formed by its own strict parser *)
-  (match M.of_prometheus (Server.metrics_text ()) with
+  (match M.of_prometheus (Server.metrics_text server) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "live exposition malformed: %s" e);
   (* and the metrics request op must answer with the same snapshot *)
@@ -545,6 +543,145 @@ let test_metrics_hit_miss_populations () =
       | Ok snap' ->
         Alcotest.(check (float 0.0)) "op snapshot agrees on hits" 2.0
           (counter_total snap' "fpga_cache_hits_total")))
+
+let family snap name =
+  match List.find_opt (fun f -> f.M.name = name) snap with
+  | Some f -> f
+  | None -> Alcotest.failf "no family %s" name
+
+let series snap name labels =
+  let labels = List.sort compare labels in
+  match List.find_opt (fun s -> s.M.labels = labels) (family snap name).M.samples with
+  | Some s -> s.M.value
+  | None -> Alcotest.failf "no series %s with %d labels" name (List.length labels)
+
+let count_value snap name labels =
+  match series snap name labels with
+  | M.Sample v -> int_of_float v
+  | M.Buckets { count; _ } -> count
+
+(* The metrics are a view of the solver's own reports. Serve a pinned
+   stream at solver_jobs = 1 (cold solve, min-time and min-area, two
+   isomorphic duplicates, one bad request), then recompute every count
+   family from the same canonical instances through Parallel_solver and
+   Problems directly. *)
+let test_metrics_equal_direct_reports () =
+  let server = Server.create () in
+  let de = Benchmarks.De.instance and codec = Benchmarks.Video_codec.instance in
+  let rng = Random.State.make [| 5 |] in
+  let solve = request_line ~id:"s" ~op:"solve" ~chip:(17, 17) ~time:13 de in
+  let min_time = request_line ~id:"t" ~op:"min-time" ~chip:(17, 17) de in
+  let min_area = request_line ~id:"a" ~op:"min-area" ~time:13 de in
+  let codec_time = request_line ~id:"c" ~op:"min-time" ~chip:(64, 64) codec in
+  List.iter
+    (Server.handle_line server (Writer.of_sink ignore))
+    [
+      solve;
+      min_time;
+      min_area;
+      codec_time;
+      request_line ~id:"t2" ~op:"min-time" ~chip:(17, 17) (permute_instance rng de);
+      request_line ~id:"s2" ~op:"solve" ~chip:(17, 17) ~time:13
+        (permute_instance rng de);
+      {|{"id":"bad","op":"solve","instance":"task x 1 1"}|};
+    ];
+  let snap = Server.metrics server in
+  (* the same misses, solved directly in canonical space *)
+  let canon line =
+    let text = str_field "instance" (parse_json line) in
+    (Canonical.of_instance (Fpga.Instance_io.parse text).Fpga.Instance_io.instance)
+      .Canonical.instance
+  in
+  let probed f =
+    let acc = ref Solver.empty_stats in
+    f (fun (p : Problems.probe) ->
+        Alcotest.(check int) "probe nodes are its report's" p.Problems.nodes
+          p.Problems.report.Par.stats.Solver.nodes;
+        acc :=
+          Solver.merge_stats !acc
+            { p.Problems.report.Par.stats with bounds = p.Problems.bounds });
+    !acc
+  in
+  let per_request =
+    [
+      (Par.solve ~jobs:1 (canon solve) (Container.make3 ~w:17 ~h:17 ~t_max:13))
+        .Par.stats;
+      probed (fun on_probe ->
+          ignore (Problems.minimize_time ~jobs:1 ~on_probe (canon min_time) ~w:17 ~h:17));
+      probed (fun on_probe ->
+          ignore (Problems.minimize_base ~jobs:1 ~on_probe (canon min_area) ~t_max:13));
+      probed (fun on_probe ->
+          ignore (Problems.minimize_time ~jobs:1 ~on_probe (canon codec_time) ~w:64 ~h:64));
+    ]
+  in
+  let total = List.fold_left Solver.merge_stats Solver.empty_stats per_request in
+  Alcotest.(check bool) "the stream searches" true (total.Solver.nodes > 0);
+  let check name labels expected =
+    let shown = List.map (fun (k, v) -> " " ^ k ^ "=" ^ v) labels in
+    Alcotest.(check int)
+      (name ^ String.concat "" shown)
+      expected (count_value snap name labels)
+  in
+  List.iter
+    (fun (op, status, n) ->
+      check "fpga_server_requests_total" [ ("op", op); ("status", status) ] n)
+    [
+      ("solve", "ok", 2);
+      ("min-time", "ok", 3);
+      ("min-area", "ok", 1);
+      ("invalid", "error", 1);
+    ];
+  Alcotest.(check int) "no other request series" 4
+    (List.length (family snap "fpga_server_requests_total").M.samples);
+  check "fpga_cache_hits_total" [] 2;
+  check "fpga_cache_misses_total" [] 4;
+  check "fpga_server_request_seconds" [ ("cache", "hit") ] 2;
+  check "fpga_server_request_seconds" [ ("cache", "miss") ] 5;
+  check "fpga_server_inflight_requests" [] 0;
+  check "fpga_server_request_solver_nodes" []
+    (List.length (List.filter (fun s -> s.Solver.nodes > 0) per_request));
+  (match series snap "fpga_server_request_solver_nodes" [] with
+  | M.Buckets { sum; _ } ->
+    Alcotest.(check int) "request node sum" total.Solver.nodes (int_of_float sum)
+  | M.Sample _ -> Alcotest.fail "node histogram lost its buckets");
+  check "fpga_solver_nodes_total" [] total.Solver.nodes;
+  check "fpga_solver_decisions_total" [] total.Solver.decisions;
+  check "fpga_solver_conflicts_total" [] total.Solver.conflicts;
+  check "fpga_solver_leaves_total" [] total.Solver.leaves;
+  check "fpga_solver_realize_attempts_total" []
+    total.Solver.rules.T.realize_attempts;
+  List.iter
+    (fun rule ->
+      check "fpga_solver_rule_conflicts_total" [ ("rule", rule) ]
+        (Option.value (List.assoc_opt rule total.Solver.rules.T.conflicts) ~default:0))
+    Packing.Packing_state.rule_names;
+  List.iter
+    (fun b ->
+      let c = Option.value (List.assoc_opt b total.Solver.bounds) ~default:T.zero_bound in
+      check "fpga_bounds_calls_total" [ ("bound", b) ] c.T.calls;
+      check "fpga_bounds_prunes_total" [ ("bound", b) ] c.T.prunes)
+    Packing.Bound_engine.default_names;
+  Alcotest.(check bool) "no worker families at solver_jobs = 1" false
+    (List.exists (fun f -> f.M.name = "fpga_parallel_tasks_total") snap)
+
+(* A 10^8-cell chip side overflowed the bound engine's products into an
+   [infeasible] at 0 nodes; the serve answer must be feasible, and a
+   repeat must hit the cache with the same answer. *)
+let test_huge_chip_feasible_and_cached () =
+  let server = Server.create () in
+  let line id =
+    request_line ~id ~op:"solve" ~chip:(100_000_000, 100_000_000) ~time:14
+      Benchmarks.De.instance
+  in
+  let send id =
+    Server.handle_request server (Writer.of_sink ignore) (parse_json (line id))
+  in
+  let r1, m1 = send "h1" in
+  let r2, m2 = send "h2" in
+  Alcotest.(check string) "cold answer" "feasible" (str_field "status" r1);
+  Alcotest.(check bool) "cold solve misses" false m1.Server.cache_hit;
+  Alcotest.(check bool) "repeat hits" true m2.Server.cache_hit;
+  Alcotest.(check string) "cached answer" "feasible" (str_field "status" r2)
 
 (* ------------------------------------------------------------------ *)
 
@@ -575,10 +712,14 @@ let () =
             test_server_loop_survives;
           Alcotest.test_case "concurrent heartbeats stay line-atomic" `Quick
             test_concurrent_heartbeats_not_interleaved;
+          Alcotest.test_case "huge chip answers feasible, cached" `Quick
+            test_huge_chip_feasible_and_cached;
         ] );
       ( "metrics",
         [
           Alcotest.test_case "warm run separates hit and miss populations"
             `Quick test_metrics_hit_miss_populations;
+          Alcotest.test_case "count families equal the direct reports" `Quick
+            test_metrics_equal_direct_reports;
         ] );
     ]
