@@ -938,7 +938,7 @@ let engine_bench () =
   Format.printf "  wrote BENCH_engine.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Bound engine: stage-3 search with node-level bound checks on vs     *)
+(* Bound engine: stage-3 search with the stage-1 root check on vs      *)
 (* off, written to BENCH_bounds.json                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1023,24 +1023,12 @@ let bounds_bench () =
   Format.printf
     "  instance                        off               on              \
      nodes   time@.";
-  (* Off: no engine anywhere. On: the full integration — stage-1 root
-     check plus throttled node-level checks. Heuristic off on both
+  (* Off: no engine. On: the stage-1 root check. Heuristic off on both
      sides so only the search and the bounds are measured. *)
   let off_options =
-    {
-      search_only with
-      Packing.Opp_solver.node_limit = Some node_limit;
-      node_bounds = Packing.Opp_solver.Realize_never;
-    }
+    { search_only with Packing.Opp_solver.node_limit = Some node_limit }
   in
-  let on_options =
-    {
-      search_only with
-      Packing.Opp_solver.use_bounds = true;
-      node_limit = Some node_limit;
-      node_bounds = Packing.Opp_solver.default_node_bounds;
-    }
-  in
+  let on_options = { off_options with Packing.Opp_solver.use_bounds = true } in
   let verdict = function
     | Packing.Opp_solver.Feasible _ -> "feasible"
     | Packing.Opp_solver.Infeasible -> "infeasible"
@@ -1119,8 +1107,8 @@ let bounds_bench () =
   output_string oc
     (Printf.sprintf
        "{\"node_limit\":%d,\"note\":\"search-only stage 3, sequential, \
-        heuristic off; off = no engine (no stage-1, node_bounds never), on = \
-        stage-1 root check + adaptive node bounds; nodes deterministic, time \
+        heuristic off; off = no engine, on = stage-1 root check; nodes \
+        deterministic, time \
         = min of 2 runs; node_ratio uses +1 smoothing and is an upper bound \
         when the off side hit the node cap\",\
         \"geomean_node_ratio\":%s,\"cases\":[\n\

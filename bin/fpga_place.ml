@@ -199,19 +199,6 @@ let realize_opt =
                  leaf checks only). The verdict is identical under every \
                  policy; only the search speed changes.")
 
-let node_bounds_opt =
-  Arg.(value
-       & opt (enum [ ("adaptive", `Adaptive); ("always", `Always); ("never", `Never) ])
-           `Adaptive
-       & info [ "node-bounds" ] ~docv:"POLICY"
-           ~doc:"Throttle for the in-search bound-engine check on the \
-                 committed time arcs of the current node: adaptive \
-                 (default; check only once enough pairs are decided, with \
-                 exponential backoff on silent verdicts), always (every \
-                 node), or never (root bounds only). The engine emits exact \
-                 certificates, so the verdict is identical under every \
-                 policy; only the search speed changes.")
-
 let trace_opt =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE"
@@ -282,22 +269,14 @@ let with_observability options trace_file progress =
   in
   (options, write_trace)
 
-let options_with_deadline time_limit realize node_bounds =
-  let policy = function
-    | `Adaptive -> None
-    | `Always -> Some Packing.Opp_solver.Realize_always
-    | `Never -> Some Packing.Opp_solver.Realize_never
-  in
+let options_with_deadline time_limit realize =
   let realize =
-    Option.value (policy realize) ~default:Packing.Opp_solver.default_realize
+    match realize with
+    | `Adaptive -> Packing.Opp_solver.default_realize
+    | `Always -> Packing.Opp_solver.Realize_always
+    | `Never -> Packing.Opp_solver.Realize_never
   in
-  let node_bounds =
-    Option.value (policy node_bounds)
-      ~default:Packing.Opp_solver.default_node_bounds
-  in
-  let options =
-    { Packing.Opp_solver.default_options with realize; node_bounds }
-  in
+  let options = { Packing.Opp_solver.default_options with realize } in
   match time_limit with
   | None -> options
   | Some s -> { options with deadline = Some (Unix.gettimeofday () +. s) }
@@ -311,7 +290,7 @@ let no_heuristic_flag =
 
 let solve_cmd =
   let run file chip time container_arg render quiet svg jobs time_limit stats
-      realize node_bounds trace_file progress no_heuristic =
+      realize trace_file progress no_heuristic =
     match read_instance file with
     | Error msg -> err msg
     | Ok io -> (
@@ -324,7 +303,7 @@ let solve_cmd =
           | `Chip (chip, t_max) -> Fpga.Chip.container chip ~t_max
           | `Container c -> c
         in
-        let options = options_with_deadline time_limit realize node_bounds in
+        let options = options_with_deadline time_limit realize in
         let options =
           if no_heuristic then
             { options with Packing.Opp_solver.use_heuristic = false }
@@ -379,7 +358,7 @@ let solve_cmd =
     Term.(const run $ file_arg $ chip_opt $ time_opt $ container_opt
           $ render_flag $ quiet_flag
           $ svg_opt $ jobs_opt $ time_limit_opt $ stats_opt $ realize_opt
-          $ node_bounds_opt $ trace_opt $ progress_opt $ no_heuristic_flag)
+          $ trace_opt $ progress_opt $ no_heuristic_flag)
 
 (* Collect the probe trace for --stats json; the returned callback is
    handed to the Problems driver as [on_probe]. *)
@@ -424,7 +403,7 @@ let anytime_stats_json ~problem ~value_json result probes =
          ]))
 
 let min_time_cmd =
-  let run file chip render quiet jobs time_limit stats realize node_bounds
+  let run file chip render quiet jobs time_limit stats realize
       trace_file progress =
     match read_instance file with
     | Error msg -> err msg
@@ -433,7 +412,7 @@ let min_time_cmd =
       | Error msg -> err msg
       | Ok chip ->
         let inst = io.Fpga.Instance_io.instance in
-        let options = options_with_deadline time_limit realize node_bounds in
+        let options = options_with_deadline time_limit realize in
         let options, write_trace =
           with_observability options trace_file progress
         in
@@ -476,7 +455,7 @@ let min_time_cmd =
   let doc = "Minimize the makespan on a fixed chip (MinT&FindS / SPP)." in
   Cmd.v (Cmd.info "min-time" ~doc)
     Term.(const run $ file_arg $ chip_opt $ render_flag $ quiet_flag $ jobs_opt
-          $ time_limit_opt $ stats_opt $ realize_opt $ node_bounds_opt
+          $ time_limit_opt $ stats_opt $ realize_opt
           $ trace_opt $ progress_opt)
 
 let min_extent_cmd =
@@ -488,7 +467,7 @@ let min_extent_cmd =
                    this is open-ended strip packing.")
   in
   let run file chip time container_arg axis quiet jobs time_limit stats
-      realize node_bounds trace_file progress =
+      realize trace_file progress =
     match read_instance file with
     | Error msg -> err msg
     | Ok io -> (
@@ -516,7 +495,7 @@ let min_extent_cmd =
             | `Chip (chip, t_max) -> Fpga.Chip.container chip ~t_max
             | `Container c -> c
           in
-          let options = options_with_deadline time_limit realize node_bounds in
+          let options = options_with_deadline time_limit realize in
           let options, write_trace =
             with_observability options trace_file progress
           in
@@ -563,10 +542,10 @@ let min_extent_cmd =
   Cmd.v (Cmd.info "min-extent" ~doc)
     Term.(const run $ file_arg $ chip_opt $ time_opt $ container_opt $ axis_opt
           $ quiet_flag $ jobs_opt $ time_limit_opt $ stats_opt $ realize_opt
-          $ node_bounds_opt $ trace_opt $ progress_opt)
+          $ trace_opt $ progress_opt)
 
 let min_area_cmd =
-  let run file time render quiet jobs time_limit stats realize node_bounds
+  let run file time render quiet jobs time_limit stats realize
       trace_file progress =
     match read_instance file with
     | Error msg -> err msg
@@ -575,7 +554,7 @@ let min_area_cmd =
       | Error msg -> err msg
       | Ok t_max ->
         let inst = io.Fpga.Instance_io.instance in
-        let options = options_with_deadline time_limit realize node_bounds in
+        let options = options_with_deadline time_limit realize in
         let options, write_trace =
           with_observability options trace_file progress
         in
@@ -619,7 +598,7 @@ let min_area_cmd =
   let doc = "Minimize a quadratic chip for a time budget (MinA&FindS / BMP)." in
   Cmd.v (Cmd.info "min-area" ~doc)
     Term.(const run $ file_arg $ time_opt $ render_flag $ quiet_flag $ jobs_opt
-          $ time_limit_opt $ stats_opt $ realize_opt $ node_bounds_opt
+          $ time_limit_opt $ stats_opt $ realize_opt
           $ trace_opt $ progress_opt)
 
 let pareto_cmd =
@@ -658,7 +637,7 @@ let pareto_cmd =
       let inst =
         if no_prec then Packing.Instance.without_precedence inst else inst
       in
-      let options = options_with_deadline time_limit `Adaptive `Adaptive in
+      let options = options_with_deadline time_limit `Adaptive in
       let options, write_trace = with_observability options trace_file progress in
       let probes, on_probe = probe_collector () in
       let front =

@@ -1,5 +1,17 @@
 module Container = Geometry.Container
 module Digraph = Graphlib.Digraph
+module Sat = Geometry.Saturating
+
+(* The bounds' hot loops keep the small-operand case of
+   {!Geometry.Saturating} local: -opaque builds (dune's default
+   profile) never inline across libraries, and one DFF enumeration runs
+   tens of thousands of these per check. *)
+let sat_mul a b =
+  if a < 0x4000_0000 && b < 0x4000_0000 then a * b else Sat.mul a b
+
+let sat_add a b =
+  if a < 0x2000_0000_0000_0000 && b < 0x2000_0000_0000_0000 then a + b
+  else Sat.add a b
 
 type certificate = { bound : string; detail : string }
 
@@ -27,48 +39,11 @@ let pp_verdict fmt = function
   | Inconclusive -> Format.fprintf fmt "inconclusive"
 
 (* ------------------------------------------------------------------ *)
-(* Saturating arithmetic                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Every product of extents, areas or DFF targets below goes through
-   [sat_mul] (and every sum of them through [sat_add]): on non-negative
-   operands a result past [max_int] is [max_int]. Saturation only ever
-   lowers a value, so a saturated capacity can never certify
-   infeasibility ([demand > max_int] is false), while a saturated
-   demand still exceeds every capacity it truly exceeds; a ceiling
-   quotient of saturated values never exceeds the true quotient. *)
-let sat_mul a b =
-  if a < 0x4000_0000 && b < 0x4000_0000 then a * b (* < 2^60, no division *)
-  else if a = 0 || b = 0 then 0
-  else if a > max_int / b then max_int
-  else a * b
-
-let sat_add a b = if a > max_int - b then max_int else a + b
-
-(* ------------------------------------------------------------------ *)
 (* Primitive bound families                                            *)
 (* ------------------------------------------------------------------ *)
 
-let container_volume container =
-  let v = ref 1 in
-  for k = 0 to Container.dim container - 1 do
-    v := sat_mul !v (Container.extent container k)
-  done;
-  !v
-
-let total_volume inst =
-  let total = ref 0 in
-  for i = 0 to Instance.count inst - 1 do
-    let v = ref 1 in
-    for k = 0 to Instance.dim inst - 1 do
-      v := sat_mul !v (Instance.extent inst i k)
-    done;
-    total := sat_add !total !v
-  done;
-  !total
-
 let volume_exceeded inst container =
-  total_volume inst > container_volume container
+  Instance.total_volume inst > Container.volume container
 
 let misfit inst container =
   let d = Instance.dim inst in
@@ -112,8 +87,8 @@ let exclusion_duration inst container =
     (Graphlib.Cliques.max_weight_clique g ~weight:(fun i ->
          Instance.duration inst i))
 
-(* The invalid_arg prefixes below are pinned by the Bounds tests; the
-   Bounds facade re-exports these functions unchanged. *)
+(* The invalid_arg prefixes below predate this module and are pinned by
+   the tests. *)
 let f_eps ~eps ~w_max w =
   if eps <= 0 || 2 * eps > w_max then invalid_arg "Bounds.f_eps: bad eps";
   if w < 0 || w > w_max then invalid_arg "Bounds.f_eps: w out of range";
@@ -245,8 +220,6 @@ let footprint inst i =
   done;
   !a
 
-let ceil_div a b = if a <= 0 then 0 else ((a - 1) / b) + 1
-
 (* Turn a proven time lower bound into a verdict against a container:
    exceeding the time extent is an infeasibility certificate. *)
 let time_bound_verdict ~name ~detail inst container lb =
@@ -255,27 +228,13 @@ let time_bound_verdict ~name ~detail inst container lb =
   else if lb > 0 then Lower_bound lb
   else Inconclusive
 
-let sequencing_of_instance inst =
-  Digraph.of_arcs (Instance.count inst)
-    (Order.Partial_order.relations (Instance.precedence inst))
-
 (* ------------------------------------------------------------------ *)
 (* Registered bounds                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Every bound takes the instance, the container, and a sequencing
-   digraph of committed time-axis arcs. For root calls the sequencing is
-   the precedence order; at a search node it is the current transitive
-   orientation of the time dimension, which contains the precedence arcs
-   plus every branching decision — any arc holds in every completion of
-   the node, so the dynamic bounds refute whole subtrees. *)
-type entry = {
-  name : string;
-  dynamic : bool; (* worth re-running at search nodes *)
-  run : Instance.t -> Container.t -> seq:Digraph.t -> verdict;
-}
+type entry = { name : string; run : Instance.t -> Container.t -> verdict }
 
-let run_misfit inst container ~seq:_ =
+let run_misfit inst container =
   match misfit inst container with
   | Some i ->
     Infeasible
@@ -285,18 +244,18 @@ let run_misfit inst container ~seq:_ =
       }
   | None -> Inconclusive
 
-let run_volume inst container ~seq:_ =
+let run_volume inst container =
   if volume_exceeded inst container then
     Infeasible
       { bound = "volume"; detail = "total volume exceeds the container" }
   else
     (* ceil(volume / base area) time slices are needed just to hold the
        total volume, whatever the schedule. *)
-    let lb = ceil_div (total_volume inst) (base_area inst container) in
+    let lb = Sat.ceil_div (Instance.total_volume inst) (base_area inst container) in
     time_bound_verdict ~name:"volume"
       ~detail:"volume per time slice exceeds the chip area" inst container lb
 
-let run_critical_path inst container ~seq =
+let run_critical_path inst container =
   (* Static per-axis chains first: any non-objective axis carrying an
      order needs its heaviest chain to fit that axis's extent. (Empty
      orders — every legacy 3D instance — skip this in O(1) per axis.) *)
@@ -317,19 +276,17 @@ let run_critical_path inst container ~seq =
             k;
       }
   | None ->
-    if not (Digraph.is_acyclic seq) then Inconclusive
-    else
-      let lb = Digraph.critical_path seq ~weight:(Instance.duration inst) in
-      time_bound_verdict ~name:"critical-path"
-        ~detail:"an oriented chain exceeds the time bound" inst container lb
+    time_bound_verdict ~name:"critical-path"
+      ~detail:"an oriented chain exceeds the time bound" inst container
+      (Instance.critical_path inst)
 
 (* Serialization clique along the time axis: two tasks must be disjoint
    in time when they overflow the container in every spatial axis, and
-   also when the sequencing digraph already orders them. The max-weight
+   also when the precedence order already orders them. The max-weight
    clique of that union graph (weight = duration) must fit the time
-   extent; with the precedence arcs alone this already dominates both
-   the legacy exclusion clique and the critical path. *)
-let run_clique_time inst container ~seq =
+   extent; this dominates both the legacy exclusion clique and the
+   critical path. *)
+let run_clique_time inst container =
   let n = Instance.count inst in
   let d = Instance.dim inst in
   let ta = Instance.objective_axis inst in
@@ -344,7 +301,8 @@ let run_clique_time inst container ~seq =
              <= Container.extent container k
         then excl := false
       done;
-      if !excl || Digraph.mem_arc seq i j || Digraph.mem_arc seq j i then
+      if !excl || Order.Partial_order.comparable (Instance.precedence inst) i j
+      then
         Graphlib.Undirected.add_edge g i j
     done
   done;
@@ -358,7 +316,7 @@ let run_clique_time inst container ~seq =
    container in every axis except [k] (time included) must be disjoint
    along [k], so a clique of such pairs needs extents summing within the
    container's [k]-extent. *)
-let run_clique_space inst container ~seq:_ =
+let run_clique_space inst container =
   let n = Instance.count inst in
   let d = Instance.dim inst in
   let ta = Instance.objective_axis inst in
@@ -400,7 +358,7 @@ let run_clique_space inst container ~seq:_ =
   done;
   !result
 
-let run_dff_volume inst container ~seq:_ =
+let run_dff_volume inst container =
   match dff_volume_exceeded inst container with
   | Some descr -> Infeasible { bound = "dff-volume"; detail = descr }
   | None -> Inconclusive
@@ -408,7 +366,7 @@ let run_dff_volume inst container ~seq:_ =
 (* DFF time bound: transform the spatial axes only (identity on time).
    Products of per-axis DFFs preserve packability, so every transformed
    packing still needs ceil(sum_i area'_i * d_i / base') time slices. *)
-let run_dff_time inst container ~seq:_ =
+let run_dff_time inst container =
   let ta = Instance.objective_axis inst in
   let n = Instance.count inst in
   let spatial =
@@ -437,7 +395,7 @@ let run_dff_time inst container ~seq:_ =
           done;
           total := sat_add !total !a
         done;
-        let lb = ceil_div !total !base in
+        let lb = Sat.ceil_div !total !base in
         if lb > !best then best := lb
       end
       else
@@ -459,85 +417,84 @@ let run_dff_time inst container ~seq:_ =
    max(0, min(d_i, t2-t1, est_i + d_i - t1, t2 - (lft_i - d_i)))
    time slices, each consuming its spatial footprint. If the mandatory
    energy of all tasks exceeds base_area * (t2 - t1), no schedule
-   respecting the committed arcs exists. The est/lft values come from
-   longest paths over the sequencing digraph, so this bound mixes
-   volume, precedence, and orientation — it can refute nodes the C2
-   clique check cannot. *)
-let run_energetic inst container ~seq =
-  if not (Digraph.is_acyclic seq) then Inconclusive
-  else begin
-    let n = Instance.count inst in
-    let cap = time_cap inst container in
-    let base = base_area inst container in
-    let dur = Instance.duration inst in
-    let est = Digraph.longest_path_lengths seq ~weight:dur in
-    let rev = Digraph.create n in
-    List.iter (fun (u, v) -> Digraph.add_arc rev v u) (Digraph.arcs seq);
-    let tail = Digraph.longest_path_lengths rev ~weight:dur in
-    let lft = Array.init n (fun i -> cap - tail.(i)) in
-    let area = Array.init n (footprint inst) in
-    let result = ref Inconclusive in
-    (* Chain through [i] too long for the window — cheap early out that
-       also keeps every subsequent window computation meaningful. *)
-    for i = 0 to n - 1 do
-      if !result = Inconclusive && est.(i) + dur i > lft.(i) then
-        result :=
-          Infeasible
-            {
-              bound = "energetic";
-              detail =
-                Printf.sprintf "task %d has no feasible start window" i;
-            }
-    done;
-    if !result = Inconclusive then begin
-      let t1s = List.sort_uniq compare (0 :: Array.to_list est) in
-      let t2s = List.sort_uniq compare (cap :: Array.to_list lft) in
-      List.iter
-        (fun t1 ->
-          List.iter
-            (fun t2 ->
-              if !result = Inconclusive && t1 < t2 then begin
-                let energy = ref 0 in
-                for i = 0 to n - 1 do
-                  let mandatory =
-                    min
-                      (min (dur i) (t2 - t1))
-                      (min (est.(i) + dur i - t1) (t2 - (lft.(i) - dur i)))
-                  in
-                  if mandatory > 0 then
-                    energy :=
-                      sat_add !energy (sat_mul area.(i) mandatory)
-                done;
-                let capacity = sat_mul base (t2 - t1) in
-                if !energy > capacity then
-                  result :=
-                    Infeasible
-                      {
-                        bound = "energetic";
-                        detail =
-                          Printf.sprintf
-                            "mandatory energy %d exceeds capacity %d in \
-                             window [%d, %d)"
-                            !energy capacity t1 t2;
-                      }
-              end)
-            t2s)
-        t1s;
-      !result
-    end
-    else !result
+   respecting the precedence order exists. The est/lft values come from
+   longest paths over the precedence order, so this bound mixes volume
+   and precedence. *)
+let run_energetic inst container =
+  let n = Instance.count inst in
+  let cap = time_cap inst container in
+  let base = base_area inst container in
+  let dur = Instance.duration inst in
+  let prec = Instance.precedence inst in
+  let est = Order.Partial_order.earliest_starts prec ~duration:dur in
+  let rev =
+    Digraph.of_arcs n
+      (List.map (fun (u, v) -> (v, u)) (Order.Partial_order.relations prec))
+  in
+  let tail = Digraph.longest_path_lengths rev ~weight:dur in
+  let lft = Array.init n (fun i -> cap - tail.(i)) in
+  let area = Array.init n (footprint inst) in
+  let result = ref Inconclusive in
+  (* Chain through [i] too long for the window — cheap early out that
+     also keeps every subsequent window computation meaningful. *)
+  for i = 0 to n - 1 do
+    if !result = Inconclusive && est.(i) + dur i > lft.(i) then
+      result :=
+        Infeasible
+          {
+            bound = "energetic";
+            detail =
+              Printf.sprintf "task %d has no feasible start window" i;
+          }
+  done;
+  if !result = Inconclusive then begin
+    let t1s = List.sort_uniq compare (0 :: Array.to_list est) in
+    let t2s = List.sort_uniq compare (cap :: Array.to_list lft) in
+    List.iter
+      (fun t1 ->
+        List.iter
+          (fun t2 ->
+            if !result = Inconclusive && t1 < t2 then begin
+              let energy = ref 0 in
+              for i = 0 to n - 1 do
+                let mandatory =
+                  min
+                    (min (dur i) (t2 - t1))
+                    (min (est.(i) + dur i - t1) (t2 - (lft.(i) - dur i)))
+                in
+                if mandatory > 0 then
+                  energy :=
+                    sat_add !energy (sat_mul area.(i) mandatory)
+              done;
+              let capacity = sat_mul base (t2 - t1) in
+              if !energy > capacity then
+                result :=
+                  Infeasible
+                    {
+                      bound = "energetic";
+                      detail =
+                        Printf.sprintf
+                          "mandatory energy %d exceeds capacity %d in \
+                           window [%d, %d)"
+                          !energy capacity t1 t2;
+                    }
+            end)
+          t2s)
+      t1s;
+    !result
   end
+  else !result
 
 let all_entries =
   [
-    { name = "misfit"; dynamic = false; run = run_misfit };
-    { name = "volume"; dynamic = false; run = run_volume };
-    { name = "critical-path"; dynamic = true; run = run_critical_path };
-    { name = "clique-time"; dynamic = true; run = run_clique_time };
-    { name = "clique-space"; dynamic = false; run = run_clique_space };
-    { name = "dff-volume"; dynamic = false; run = run_dff_volume };
-    { name = "dff-time"; dynamic = false; run = run_dff_time };
-    { name = "energetic"; dynamic = true; run = run_energetic };
+    { name = "misfit"; run = run_misfit };
+    { name = "volume"; run = run_volume };
+    { name = "critical-path"; run = run_critical_path };
+    { name = "clique-time"; run = run_clique_time };
+    { name = "clique-space"; run = run_clique_space };
+    { name = "dff-volume"; run = run_dff_volume };
+    { name = "dff-time"; run = run_dff_time };
+    { name = "energetic"; run = run_energetic };
   ]
 
 let default_names = List.map (fun e -> e.name) all_entries
@@ -593,10 +550,10 @@ let tally t name =
   | Some c -> c
   | None -> assert false
 
-let timed t e inst container ~seq =
+let timed t e inst container =
   let c = tally t e.name in
   let start = Unix.gettimeofday () in
-  let verdict = e.run inst container ~seq in
+  let verdict = e.run inst container in
   let dt = Unix.gettimeofday () -. start in
   c.calls <- c.calls + 1;
   c.time_s <- c.time_s +. dt;
@@ -619,13 +576,14 @@ let check_dimensions ~who inst container =
   if Container.dim container <> Instance.dim inst then
     invalid_arg (who ^ ": dimension mismatch")
 
-let fold_entries t inst container ~seq ~only_dynamic =
+let check t inst container =
+  check_dimensions ~who:"Bound_engine.check" inst container;
   let best = ref Inconclusive in
   let refuted = ref None in
   List.iter
     (fun e ->
-      if !refuted = None && ((not only_dynamic) || e.dynamic) then
-        match timed t e inst container ~seq with
+      if !refuted = None then
+        match timed t e inst container with
         | Infeasible _ as v -> refuted := Some v
         | Lower_bound l ->
           (match !best with
@@ -634,15 +592,6 @@ let fold_entries t inst container ~seq ~only_dynamic =
         | Inconclusive -> ())
     t.entries;
   match !refuted with Some v -> v | None -> !best
-
-let check t inst container =
-  check_dimensions ~who:"Bound_engine.check" inst container;
-  let seq = sequencing_of_instance inst in
-  fold_entries t inst container ~seq ~only_dynamic:false
-
-let check_oriented t inst container ~sequencing =
-  check_dimensions ~who:"Bound_engine.check_oriented" inst container;
-  fold_entries t inst container ~seq:sequencing ~only_dynamic:true
 
 let time_lower_bound t inst container =
   check_dimensions ~who:"Bound_engine.time_lower_bound" inst container;
@@ -659,5 +608,4 @@ let time_lower_bound t inst container =
 
 let run_all t inst container =
   check_dimensions ~who:"Bound_engine.run_all" inst container;
-  let seq = sequencing_of_instance inst in
-  List.map (fun e -> (e.name, timed t e inst container ~seq)) t.entries
+  List.map (fun e -> (e.name, timed t e inst container)) t.entries

@@ -1,11 +1,11 @@
-(** Composable bounding/pruning engine.
+(** Stage 1 of the paper's framework: cheap certificates that disprove
+    a packing before any search starts.
 
-    One registry of bound functions serves every layer that previously
-    reimplemented its own pruning: the stage-1 root check ({!Bounds} is
-    now a thin wrapper), the in-search node pruning of {!Opp_solver},
-    probe skipping and proven lower bounds in {!Problems}, split-root
-    pruning in {!Parallel_solver}, and the pre-checks of {!Knapsack} and
-    the baseline solvers.
+    One registry of bound functions serves every layer: the root check
+    of {!Opp_solver.solve} (which {!Parallel_solver.solve} shares),
+    probe skipping and proven lower bounds in {!Problems}, and the
+    pre-checks of {!Knapsack} and the baseline solvers. The search
+    itself runs no bounds; it prunes by propagation alone.
 
     Every registered bound takes a (sub)instance plus a container and
     returns a typed {!verdict}:
@@ -23,18 +23,15 @@
     axis but one must be disjoint along that one), dual-feasible-function
     (DFF) transformed volume with the [f_eps] and [u^(k)] families, and
     precedence-aware longest-path and energetic-reasoning time bounds.
-    The precedence-aware families are {e dynamic}: they accept an
-    arbitrary sequencing digraph, so at a search node they can run on
-    the current transitive orientation of the time axis (which contains
-    the precedence arcs plus every branching decision) and cut subtrees
-    the static root bounds cannot see.
+    Every product of extents, areas or DFF targets saturates
+    ({!Geometry.Saturating}), so a huge container never overflows into
+    a false [Infeasible].
 
     An engine value carries per-bound call/time/prune counters; create
     one per solve (engines are not thread-safe) and merge snapshots with
     {!Telemetry.add_bound_counters}. *)
 
 module Container = Geometry.Container
-module Digraph = Graphlib.Digraph
 
 (** A serializable infeasibility certificate: the name of the bound that
     fired and a human-readable witness description. *)
@@ -75,24 +72,11 @@ val names : t -> string list
     this engine value. A prune is an [Infeasible] verdict. *)
 val counters : t -> Telemetry.bound_counters
 
-(** The precedence order of an instance as a digraph on task indices —
-    the sequencing argument used by {!check} for root-level calls. *)
-val sequencing_of_instance : Instance.t -> Digraph.t
-
-(** [check t inst container] runs every registered bound (static and
-    dynamic, the latter on the instance's own precedence) and returns
-    the first [Infeasible] certificate, otherwise the strongest
+(** [check t inst container] runs every registered bound in order and
+    returns the first [Infeasible] certificate, otherwise the strongest
     [Lower_bound], otherwise [Inconclusive].
     @raise Invalid_argument on a dimension mismatch. *)
 val check : t -> Instance.t -> Container.t -> verdict
-
-(** [check_oriented t inst container ~sequencing] runs only the dynamic
-    bounds, with [sequencing] supplying the committed time-axis arcs
-    (precedence plus branching decisions). Sound at any search node:
-    every arc of [sequencing] holds in every completion of the node, so
-    an [Infeasible] verdict refutes the whole subtree. *)
-val check_oriented :
-  t -> Instance.t -> Container.t -> sequencing:Digraph.t -> verdict
 
 (** [time_lower_bound t inst container] is the strongest proven lower
     bound on the time extent needed to pack [inst] into a container with
@@ -105,30 +89,19 @@ val time_lower_bound : t -> Instance.t -> Container.t -> int
     subcommand surface. *)
 val run_all : t -> Instance.t -> Container.t -> (string * verdict) list
 
-(** {1 Saturating arithmetic}
-
-    Every product of extents, areas or DFF targets in the bounds (and in
-    {!Knapsack}'s volume filter) goes through these, so a huge container
-    can never overflow into a false [Infeasible]. On non-negative
-    operands a result past [max_int] is [max_int]: a saturated capacity
-    never certifies infeasibility, and a saturated demand still exceeds
-    every capacity it truly exceeds. *)
-
-val sat_mul : int -> int -> int
-val sat_add : int -> int -> int
-
-(** Saturating volume of a container. *)
-val container_volume : Container.t -> int
-
 (** {1 Primitive bound families}
 
-    Exposed for {!Bounds} (the legacy stage-1 facade) and for tests.
-    The [invalid_arg] messages of {!f_eps} and {!u_k} keep their
-    historical ["Bounds.*"] prefixes because {!Bounds} re-exports them
-    unchanged. *)
+    Exposed for tests and examples. The [invalid_arg] messages of
+    {!f_eps} and {!u_k} keep their historical ["Bounds.*"] prefixes. *)
 
+(** The plain volume test. *)
 val volume_exceeded : Instance.t -> Container.t -> bool
+
+(** [Some task] when a task does not fit the container axis by axis. *)
 val misfit : Instance.t -> Container.t -> int option
+
+(** [true] when the heaviest precedence chain is longer than the
+    container's time extent. *)
 val critical_path_exceeded : Instance.t -> Container.t -> bool
 
 (** Largest total duration of a clique of tasks that pairwise overflow
@@ -143,18 +116,6 @@ val f_eps : eps:int -> w_max:int -> int -> int
     transformed container extent [k * w_max]. Requires [k >= 1] and
     [0 <= w <= w_max]. *)
 val u_k : k:int -> w_max:int -> int -> int
-
-(** A per-axis conservative scale: a DFF applied to box extents along
-    one axis, paired with the transformed container extent. *)
-type transform = { describe : string; apply : int -> int; target : int }
-
-(** Identity, [f_eps] at every distinct relevant threshold, and [u^(k)]
-    for small [k], along the given axis. *)
-val axis_transforms : Instance.t -> Container.t -> int -> transform list
-
-(** [transformed_volume_exceeded inst choice] checks the composed
-    transformed volume for one transform per axis. *)
-val transformed_volume_exceeded : Instance.t -> transform array -> bool
 
 (** First composed per-axis DFF transformation whose transformed volume
     overflows, as a description. *)

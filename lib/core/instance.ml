@@ -82,7 +82,8 @@ let without_precedence t =
     name = t.name ^ " (no order)";
   }
 
-let total_volume t = Array.fold_left (fun acc b -> acc + Box.volume b) 0 t.boxes
+let total_volume t =
+  Array.fold_left (fun acc b -> Geometry.Saturating.add acc (Box.volume b)) 0 t.boxes
 
 let critical_path_axis t k =
   PO.critical_path t.orders.(k) ~duration:(fun i -> extent t i k)

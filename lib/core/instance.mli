@@ -86,7 +86,8 @@ val ordered_axes : t -> int list
     the dashed curve of Fig. 7). *)
 val without_precedence : t -> t
 
-(** Total box volume. *)
+(** Total box volume, saturating at [max_int]
+    ({!Geometry.Saturating}). *)
 val total_volume : t -> int
 
 (** Critical-path length along the objective axis: total duration of

@@ -80,7 +80,7 @@ let solve ?options inst cont ~value =
      indices; [chosen] marks them; [rest] is the tail of [order];
      [rest_value] bounds the attainable gain. *)
   let chosen = Array.make n false in
-  let capacity = Bound_engine.container_volume cont in
+  let capacity = Geometry.Container.volume cont in
   let rec go selection sel_value sel_volume rest rest_value =
     if sel_value + rest_value > !best_value then
       match rest with
@@ -94,13 +94,9 @@ let solve ?options inst cont ~value =
             (fun u -> (not (Order.Partial_order.precedes p u i)) || chosen.(u))
             (List.init n Fun.id)
         in
-        let box = Instance.box inst i in
-        let vol =
-          List.fold_left Bound_engine.sat_mul 1
-            (List.init (Geometry.Box.dim box) (Geometry.Box.extent box))
-        in
+        let vol = Geometry.Box.volume (Instance.box inst i) in
         (* Include i (only if its producers are in and volume allows). *)
-        if preds_ok && Bound_engine.sat_add sel_volume vol <= capacity then begin
+        if preds_ok && Geometry.Saturating.add sel_volume vol <= capacity then begin
           chosen.(i) <- true;
           (* Incremental pruning: an infeasible partial selection stays
              infeasible under any extension (packing is monotone). *)
@@ -117,7 +113,7 @@ let solve ?options inst cont ~value =
                   }
             end;
             go (i :: selection) (sel_value + value i)
-              (Bound_engine.sat_add sel_volume vol)
+              (Geometry.Saturating.add sel_volume vol)
               tail
               (rest_value - value i)
           | None -> ());

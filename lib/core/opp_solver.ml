@@ -50,16 +50,11 @@ type options = {
   trace : Trace.t;
   component_first : bool;
   realize : realize_policy;
-  node_bounds : realize_policy;
 }
 
 let default_realize =
   Realize_adaptive
     { min_decided_fraction = 0.4; min_trail_delta = 8; backoff_limit = 64 }
-
-let default_node_bounds =
-  Realize_adaptive
-    { min_decided_fraction = 0.15; min_trail_delta = 12; backoff_limit = 256 }
 
 let default_options =
   {
@@ -75,7 +70,20 @@ let default_options =
     trace = Trace.null;
     component_first = true;
     realize = default_realize;
-    node_bounds = default_node_bounds;
+  }
+
+let empty_stats =
+  {
+    nodes = 0;
+    decisions = 0;
+    conflicts = 0;
+    leaves = 0;
+    max_depth = 0;
+    elapsed = 0.0;
+    by_bounds = false;
+    by_heuristic = false;
+    rules = Telemetry.zero_rules;
+    bounds = [];
   }
 
 exception Found of Geometry.Placement.t
@@ -91,7 +99,7 @@ let poll_mask = 31
    threaded through references so [solve] and [solve_state] share the
    code; [depth_offset] lets a caller account for decisions replayed
    into [state] before the search started. *)
-let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
+let search ~options ~t0 ~depth_offset ?(bounds = []) ?share state =
   let nodes = ref 0 and conflicts = ref 0 and leaves = ref 0 in
   let decisions = ref 0 in
   (* The decision path from this search's root, maintained only when a
@@ -118,16 +126,6 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
   let last_attempt_trail = ref (min_int / 2) in
   let last_attempt_node = ref (min_int / 2) in
   let consec_failures = ref 0 in
-  (* The node-level bound engine, with its own throttle state. One
-     engine per search keeps the per-bound counters domain-local. *)
-  let engine =
-    match options.node_bounds with
-    | Realize_never -> None
-    | _ -> Some (Bound_engine.create ~trace:options.trace ())
-  in
-  let last_bound_trail = ref (min_int / 2) in
-  let last_bound_node = ref (min_int / 2) in
-  let consec_bound_failures = ref 0 in
   let rules_snapshot () =
     {
       (Packing_state.rule_counters state) with
@@ -135,12 +133,7 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
       realize_time_s = !realize_time;
     }
   in
-  let bounds_snapshot () =
-    match engine with
-    | None -> bounds0
-    | Some e -> Telemetry.add_bound_counters bounds0 (Bound_engine.counters e)
-  in
-  let snapshot ~by_bounds ~by_heuristic =
+  let snapshot () =
     {
       nodes = !nodes;
       decisions = !decisions;
@@ -148,14 +141,11 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
       leaves = !leaves;
       max_depth = !max_depth;
       elapsed = Unix.gettimeofday () -. t0;
-      by_bounds;
-      by_heuristic;
+      by_bounds = false;
+      by_heuristic = false;
       rules = rules_snapshot ();
-      bounds = bounds_snapshot ();
+      bounds;
     }
-  in
-  let finish outcome ~by_bounds ~by_heuristic =
-    (outcome, snapshot ~by_bounds ~by_heuristic)
   in
   (* Progress callbacks fire on a wall-clock cadence: at every poll
      tick the clock is read once (shared with the deadline check) and
@@ -172,7 +162,7 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
   let heartbeat now =
     next_progress := now +. options.progress_interval_s;
     (match options.on_progress with
-    | Some f -> f (snapshot ~by_bounds:false ~by_heuristic:false)
+    | Some f -> f (snapshot ())
     | None -> ());
     if
       Option.is_some options.on_heartbeat || Trace.enabled options.trace
@@ -224,45 +214,6 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
       && !nodes - !last_attempt_node
          >= min backoff_limit (1 lsl min !consec_failures 20)
   in
-  let should_check_bounds () =
-    match options.node_bounds with
-    | Realize_always -> engine <> None
-    | Realize_never -> false
-    | Realize_adaptive { min_decided_fraction; min_trail_delta; backoff_limit }
-      ->
-      engine <> None
-      && Packing_state.decided_fraction state >= min_decided_fraction
-      && abs (Packing_state.total_trail state - !last_bound_trail)
-         >= min_trail_delta
-      && !nodes - !last_bound_node
-         >= min backoff_limit (1 lsl min !consec_bound_failures 20)
-  in
-  (* Engine check on the committed time-axis arcs of the current node.
-     Any arc of the orientation holds in every completion of the node,
-     so an [Infeasible] verdict refutes the whole subtree — including
-     subtrees the C2 clique check cannot cut, e.g. by energetic
-     reasoning over start-time windows. *)
-  let node_refuted () =
-    if not (should_check_bounds ()) then false
-    else begin
-      last_bound_node := !nodes;
-      last_bound_trail := Packing_state.total_trail state;
-      let e = Option.get engine in
-      let refuted =
-        match
-          Bound_engine.check_oriented e
-            (Packing_state.instance state)
-            (Packing_state.container state)
-            ~sequencing:(Packing_state.time_sequencing state)
-        with
-        | Bound_engine.Infeasible _ -> true
-        | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> false
-      in
-      if refuted then consec_bound_failures := 0
-      else incr consec_bound_failures;
-      refuted
-    end
-  in
   let trace = options.trace in
   let rec dfs depth =
     incr nodes;
@@ -270,7 +221,7 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
     let recorded = Trace.node_enter trace ~node:!nodes ~depth in
     check_budget ();
     let conflicts0 = !conflicts in
-    (if node_refuted () then incr conflicts else dfs_body ~recorded depth);
+    dfs_body ~recorded depth;
     Trace.node_close trace ~recorded ~depth ~conflicts:(!conflicts - conflicts0)
   and dfs_body ~recorded depth =
     (* Early realization: if the decided part of the class already
@@ -352,86 +303,85 @@ let search ~options ~t0 ~depth_offset ?(bounds0 = []) ?share state =
   in
   try
     dfs (depth_offset + 1);
-    finish Infeasible ~by_bounds:false ~by_heuristic:false
+    (Infeasible, snapshot ())
   with
   | Found placement ->
     Trace.incumbent trace ~objective:(Geometry.Placement.makespan placement);
-    finish (Feasible placement) ~by_bounds:false ~by_heuristic:false
-  | Stopped -> finish Timeout ~by_bounds:false ~by_heuristic:false
+    (Feasible placement, snapshot ())
+  | Stopped -> (Timeout, snapshot ())
 
 let solve_state ?(options = default_options) ?(depth_offset = 0) ?share state =
   search ~options ~t0:(Unix.gettimeofday ()) ~depth_offset ?share state
 
-let solve ?(options = default_options) ?schedule inst cont =
+type presolved =
+  | Settled of outcome * stats
+  | Search of Packing_state.t * Telemetry.bound_counters
+
+let presolve ?(options = default_options) ?schedule inst cont =
   let t0 = Unix.gettimeofday () in
   let trace = options.trace in
-  let staged name f =
-    if Trace.enabled trace then begin
-      let s0 = Unix.gettimeofday () in
-      let r = f () in
-      Trace.phase trace ~phase:name ~dur_s:(Unix.gettimeofday () -. s0);
-      r
-    end
-    else f ()
-  in
   (* Stage 1: try to disprove existence by bounds. The engine's counters
      are threaded into the final stats whatever stage settles the
      instance. *)
-  let root_engine =
-    if options.use_bounds then Some (Bound_engine.create ~trace ()) else None
+  let verdict, bounds =
+    if not options.use_bounds then (Bound_engine.Inconclusive, [])
+    else begin
+      let e = Bound_engine.create ~trace () in
+      let v =
+        Trace.phase trace ~phase:"stage1-bounds" (fun () ->
+            Bound_engine.check e inst cont)
+      in
+      (v, Bound_engine.counters e)
+    end
   in
-  let root_verdict =
-    match root_engine with
-    | None -> Bound_engine.Inconclusive
-    | Some e -> staged "stage1-bounds" (fun () -> Bound_engine.check e inst cont)
+  let settled outcome ~conflicts ~by_bounds ~by_heuristic =
+    Settled
+      ( outcome,
+        {
+          empty_stats with
+          conflicts;
+          elapsed = Unix.gettimeofday () -. t0;
+          by_bounds;
+          by_heuristic;
+          bounds;
+        } )
   in
-  let bounds0 =
-    match root_engine with
-    | None -> []
-    | Some e -> Bound_engine.counters e
-  in
-  let finish outcome ~conflicts ~by_bounds ~by_heuristic =
-    ( outcome,
-      {
-        nodes = 0;
-        decisions = 0;
-        conflicts;
-        leaves = 0;
-        max_depth = 0;
-        elapsed = Unix.gettimeofday () -. t0;
-        by_bounds;
-        by_heuristic;
-        rules = Telemetry.zero_rules;
-        bounds = bounds0;
-      } )
-  in
-  match root_verdict with
+  match verdict with
   | Bound_engine.Infeasible _ ->
-    finish Infeasible ~conflicts:0 ~by_bounds:true ~by_heuristic:false
-  | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> begin
+    settled Infeasible ~conflicts:0 ~by_bounds:true ~by_heuristic:false
+  | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> (
     (* Stage 2: try to construct a packing heuristically. A fixed
        schedule disables this stage: the heuristic would pick its own
        start times, which is not the question being asked. *)
     let heuristic_hit =
       if options.use_heuristic && schedule = None && Heuristic.supports inst
-      then staged "stage2-heuristic" (fun () -> Heuristic.pack inst cont)
+      then
+        Trace.phase trace ~phase:"stage2-heuristic" (fun () ->
+            Heuristic.pack inst cont)
       else None
     in
     match heuristic_hit with
     | Some placement ->
       Trace.incumbent trace ~objective:(Geometry.Placement.makespan placement);
-      finish (Feasible placement) ~conflicts:0 ~by_bounds:false ~by_heuristic:true
+      settled (Feasible placement) ~conflicts:0 ~by_bounds:false
+        ~by_heuristic:true
     | None -> (
-      (* Stage 3: branch and bound over packing classes. *)
+      (* The stage-3 root: an unpropagatable one settles the instance. *)
       match
         Packing_state.create ~rules:options.rules ?schedule ~trace inst cont
       with
       | Error _ ->
-        finish Infeasible ~conflicts:1 ~by_bounds:false ~by_heuristic:false
-      | Ok state ->
-        staged "stage3-search" (fun () ->
-            search ~options ~t0 ~depth_offset:0 ~bounds0 state))
-  end
+        settled Infeasible ~conflicts:1 ~by_bounds:false ~by_heuristic:false
+      | Ok state -> Search (state, bounds)))
+
+let solve ?(options = default_options) ?schedule inst cont =
+  let t0 = Unix.gettimeofday () in
+  match presolve ~options ?schedule inst cont with
+  | Settled (outcome, stats) -> (outcome, stats)
+  | Search (state, bounds) ->
+    (* Stage 3: branch and bound over packing classes. *)
+    Trace.phase options.trace ~phase:"stage3-search" (fun () ->
+        search ~options ~t0 ~depth_offset:0 ~bounds state)
 
 let feasible ?options ?schedule inst cont =
   match solve ?options ?schedule inst cont with
@@ -479,18 +429,4 @@ let merge_stats a b =
     by_heuristic = a.by_heuristic || b.by_heuristic;
     rules = Telemetry.add_rules a.rules b.rules;
     bounds = Telemetry.add_bound_counters a.bounds b.bounds;
-  }
-
-let empty_stats =
-  {
-    nodes = 0;
-    decisions = 0;
-    conflicts = 0;
-    leaves = 0;
-    max_depth = 0;
-    elapsed = 0.0;
-    by_bounds = false;
-    by_heuristic = false;
-    rules = Telemetry.zero_rules;
-    bounds = [];
   }

@@ -70,9 +70,10 @@ type stats = {
           the realization attempt count (opportunistic per-node tries
           and exact leaf checks combined) *)
   bounds : Telemetry.bound_counters;
-      (** per-bound call/time/prune counters from the {!Bound_engine}:
-          the stage-1 root check plus the throttled in-search node
-          checks (see {!options.node_bounds}) *)
+      (** per-bound call/time/prune counters of the stage-1
+          {!Bound_engine} root check: one call per registered bound up
+          to the first refutation, empty when [use_bounds] is off. The
+          search runs no bounds. *)
 }
 
 (** When the search runs the opportunistic budget-limited realization
@@ -150,18 +151,9 @@ type options = {
   realize : realize_policy;
       (** throttle for the per-node realization attempt; defaults to
           {!default_realize} (adaptive) *)
-  node_bounds : realize_policy;
-      (** throttle for the in-search {!Bound_engine} check on the
-          committed time-axis arcs of the current node (precedence plus
-          branching decisions). An [Infeasible] verdict refutes the
-          whole subtree — these are exact certificates, so any policy
-          returns the same final verdict; the policy only trades extra
-          pruning against per-node overhead. Defaults to
-          {!default_node_bounds} (adaptive). *)
 }
 
 val default_options : options
-val default_node_bounds : realize_policy
 
 (** [solve ?options ?schedule instance container] decides whether the
     tasks fit into the container while respecting the precedence order.
@@ -177,6 +169,28 @@ val solve :
   Instance.t ->
   Geometry.Container.t ->
   outcome * stats
+
+(** What stages 1 and 2 left to do. *)
+type presolved =
+  | Settled of outcome * stats
+      (** the bounds refuted the instance, the heuristic placed it, or
+          the stage-3 root failed propagation *)
+  | Search of Packing_state.t * Telemetry.bound_counters
+      (** stage 3 must search from this propagated root state; the
+          counters are the stage-1 engine's *)
+
+(** [presolve ?options ?schedule instance container] runs stage 1 (the
+    {!Bound_engine} root check, if [use_bounds]), stage 2 (the heuristic,
+    if [use_heuristic] and no [schedule]) and the stage-3 root
+    propagation, recording [stage1-bounds]/[stage2-heuristic] phase and
+    incumbent events on [options.trace]. {!solve} and
+    {!Parallel_solver.solve} both start here. *)
+val presolve :
+  ?options:options ->
+  ?schedule:int array ->
+  Instance.t ->
+  Geometry.Container.t ->
+  presolved
 
 (** [solve_state ?options ?depth_offset ?share state] runs the stage-3
     search alone, from an already-initialized (and possibly partially

@@ -123,8 +123,6 @@ let instance t = t.inst
 let container t = t.cont
 let dimension t k = t.dims.(k)
 
-let sequencing t ~axis = OG.orientation t.dims.(axis)
-let time_sequencing t = sequencing t ~axis:(Instance.objective_axis t.inst)
 let propagations t = t.propagations
 let mark t = Array.map OG.mark t.dims
 

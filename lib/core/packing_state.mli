@@ -68,18 +68,6 @@ val container : t -> Geometry.Container.t
     re-run {!stabilize}). *)
 val dimension : t -> int -> Order.Oriented_graph.t
 
-(** [sequencing t ~axis] is the committed arcs of one axis at the
-    current node, as a fresh digraph: the orientation of that
-    dimension's comparability edges — order seeds plus every branching
-    decision so far. Every arc holds in all completions of the node,
-    which is what makes it a sound sequencing argument for the dynamic
-    bounds of {!Bound_engine}. O(n^2) per call; callers throttle. *)
-val sequencing : t -> axis:int -> Graphlib.Digraph.t
-
-(** {!sequencing} on the instance's objective axis (historically the
-    time axis). *)
-val time_sequencing : t -> Graphlib.Digraph.t
-
 (** Marks for all dimensions at once. *)
 val mark : t -> int array
 

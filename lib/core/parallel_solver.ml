@@ -195,58 +195,15 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
       ~tasks:0 ~steals:0
   end
   else begin
-    (* Stages 1 and 2 run once, sequentially — they are cheap and settle
-       most easy instances before any domain is spawned. *)
-    let root_engine =
-      if options.Opp_solver.use_bounds then Some (Bound_engine.create ~trace ())
-      else None
-    in
-    let root_verdict =
-      match root_engine with
-      | None -> Bound_engine.Inconclusive
-      | Some e -> Bound_engine.check e inst cont
-    in
-    let bounds0 =
-      match root_engine with
-      | None -> []
-      | Some e -> Bound_engine.counters e
-    in
-    let prestage_report outcome ~conflicts ~by_bounds ~by_heuristic =
-      finish outcome
-        {
-          Opp_solver.empty_stats with
-          Opp_solver.conflicts;
-          by_bounds;
-          by_heuristic;
-          bounds = bounds0;
-        }
-        [] ~tasks:0 ~steals:0
-    in
-    match root_verdict with
-    | Bound_engine.Infeasible _ ->
-      prestage_report Opp_solver.Infeasible ~conflicts:0 ~by_bounds:true
-        ~by_heuristic:false
-    | Bound_engine.Lower_bound _ | Bound_engine.Inconclusive -> begin
-      let heuristic_hit =
-        if
-          options.Opp_solver.use_heuristic
-          && schedule = None
-          && Heuristic.supports inst
-        then Heuristic.pack inst cont
-        else None
-      in
-      match heuristic_hit with
-      | Some placement ->
-        prestage_report (Opp_solver.Feasible placement) ~conflicts:0
-          ~by_bounds:false ~by_heuristic:true
-      | None -> (
-        (* Root propagation check before spawning: an unpropagatable
-           root settles the instance on the calling domain. *)
-        match replay ~options ?schedule inst cont [] with
-        | Error _ ->
-          prestage_report Opp_solver.Infeasible ~conflicts:1 ~by_bounds:false
-            ~by_heuristic:false
-        | Ok _ ->
+    (* Stages 1 and 2 run once, sequentially, through the same presolve
+       as the sequential solver — they are cheap and settle most easy
+       instances before any domain is spawned. The root state only
+       proves the root propagates: workers replay their own. *)
+    match Opp_solver.presolve ~options ?schedule inst cont with
+    | Opp_solver.Settled (outcome, stats) ->
+      finish outcome stats [] ~tasks:0 ~steals:0
+    | Opp_solver.Search (_, bounds0) ->
+      Trace.phase trace ~phase:"stage3-search" (fun () ->
           (* Shared control state. [pending] counts descriptors that are
              queued or executing; it reaches 0 exactly when the whole
              tree has been exhausted (every descriptor ran to completion
@@ -287,9 +244,7 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
             let base_opts =
               {
                 options with
-                Opp_solver.use_bounds = false;
-                use_heuristic = false;
-                interrupt =
+                Opp_solver.interrupt =
                   Some (fun () -> Atomic.get stop || caller_interrupt ());
                 on_heartbeat =
                   Some
@@ -488,7 +443,6 @@ let solve ?(options = Opp_solver.default_options) ?schedule ?(jobs = 2) inst
           in
           finish outcome merged workers ~tasks:(Atomic.get tasks_tot)
             ~steals:(Atomic.get steals_tot))
-    end
   end
 
 let pp_report fmt r =

@@ -1,5 +1,6 @@
 module Container = Geometry.Container
 module Placement = Geometry.Placement
+module Sat = Geometry.Saturating
 
 type 'a optimum = {
   value : 'a;
@@ -368,9 +369,9 @@ let extent_lower_bound ctx inst ~axis ~base =
   let d = Instance.dim inst in
   let cross = ref 1 in
   for k = 0 to d - 1 do
-    if k <> axis then cross := !cross * Container.extent base k
+    if k <> axis then cross := Sat.mul !cross (Container.extent base k)
   done;
-  let volume_bound = (Instance.total_volume inst + !cross - 1) / !cross in
+  let volume_bound = Sat.ceil_div (Instance.total_volume inst) !cross in
   let max_extent =
     let best = ref 0 in
     for i = 0 to Instance.count inst - 1 do
@@ -397,7 +398,9 @@ let base_lower_bound inst ~t_max =
     spatial := max !spatial (max (Instance.extent inst i 0) (Instance.extent inst i 1))
   done;
   let volume = Instance.total_volume inst in
-  let rec by_volume s = if s * s * t_max >= volume then s else by_volume (s + 1) in
+  let rec by_volume s =
+    if Sat.mul (Sat.mul s s) t_max >= volume then s else by_volume (s + 1)
+  in
   max !spatial (by_volume !spatial)
 
 (* Engine-strengthened lower bounds. Gated on the run having stage-1
@@ -542,7 +545,7 @@ let minimize_area_rect ?options ?jobs ?on_probe inst ~t_max =
       max_h := max !max_h (Instance.extent inst i 1)
     done;
     let volume = Instance.total_volume inst in
-    let area_lb = max (!max_w * !max_h) ((volume + t_max - 1) / t_max) in
+    let area_lb = max (Sat.mul !max_w !max_h) (Sat.ceil_div volume t_max) in
     (* Seed the incumbent with the square optimum; the square search
        shares this run's budget. A feasible w x h chip embeds in the
        max(w,h) square, so when no square works no rectangle does
@@ -554,8 +557,8 @@ let minimize_area_rect ?options ?jobs ?on_probe inst ~t_max =
       let exact = ref (match square with Optimal _ -> true | _ -> false) in
       let s = seed.value in
       let best = ref ((s, s), seed.placement) in
-      let best_area = ref (s * s) in
-      let h_floor w = max !max_h ((volume + (w * t_max) - 1) / (w * t_max)) in
+      let best_area = ref (Sat.mul s s) in
+      let h_floor w = max !max_h (Sat.ceil_div volume (Sat.mul w t_max)) in
       let w = ref !max_w in
       let continue_ = ref true in
       while !continue_ do
@@ -566,10 +569,11 @@ let minimize_area_rect ?options ?jobs ?on_probe inst ~t_max =
         end
         else begin
           let w0 = !w in
-          if w0 * h_floor w0 >= !best_area then begin
+          if Sat.mul w0 (h_floor w0) >= !best_area then begin
             (* Wider chips only raise the area floor further once the
                width alone exceeds the incumbent. *)
-            if w0 * !max_h >= !best_area then continue_ := false else incr w
+            if Sat.mul w0 !max_h >= !best_area then continue_ := false
+            else incr w
           end
           else begin
             let probe h = run_probe ctx (Container.make3 ~w:w0 ~h ~t_max) inst in

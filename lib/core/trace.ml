@@ -211,10 +211,15 @@ let cancel t ~reason =
   | Null -> ()
   | Active a -> append a (stream a) (Cancel { reason })
 
-let phase t ~phase:name ~dur_s =
+let phase t ~phase:name f =
   match t with
-  | Null -> ()
-  | Active a -> append a (stream a) (Phase { phase = name; dur_s })
+  | Null -> f ()
+  | Active a ->
+    let s0 = Unix.gettimeofday () in
+    let r = f () in
+    append a (stream a)
+      (Phase { phase = name; dur_s = Unix.gettimeofday () -. s0 });
+    r
 
 let progress t p =
   match t with Null -> () | Active a -> append a (stream a) (Progress p)

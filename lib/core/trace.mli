@@ -107,9 +107,12 @@ val claim : t -> index:int -> unit
 val steal : t -> victim:int -> depth:int -> unit
 val donate : t -> depth:int -> unit
 val cancel : t -> reason:string -> unit
-val phase : t -> phase:string -> dur_s:float -> unit
 val progress : t -> Telemetry.progress -> unit
 val online_op : t -> op:string -> task:int -> sim_time:int -> dur_s:float -> unit
+
+(** [phase t ~phase f] runs [f ()] and records its wall time as one
+    phase event (solver stages 1-3); with {!null} it only runs [f]. *)
+val phase : t -> phase:string -> (unit -> 'a) -> 'a
 
 (** {1 Reading back} *)
 

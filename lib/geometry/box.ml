@@ -15,7 +15,7 @@ let extent b k =
   b.(k)
 
 let extents = Array.copy
-let volume b = Array.fold_left ( * ) 1 b
+let volume b = Array.fold_left Saturating.mul 1 b
 
 let rotate b ~axes =
   let d = Array.length b in

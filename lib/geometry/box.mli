@@ -27,7 +27,8 @@ val extent : t -> int -> int
 (** All extents, as a fresh array. *)
 val extents : t -> int array
 
-(** Product of all extents. *)
+(** Product of all extents, saturating at [max_int]
+    ({!Saturating}). *)
 val volume : t -> int
 
 (** [rotate b ~axes] permutes the extents; [axes] must be a permutation

@@ -19,15 +19,10 @@ let inst ?precedence boxes =
 let box3 w h d = Box.make3 ~w ~h ~duration:d
 let cont3 w h t = Container.make3 ~w ~h ~t_max:t
 
-(* Engine-free reference options: no stage-1 bounds, no node-level
-   engine checks. The heuristic stays on (its witnesses are validated),
-   so only the exact search core decides. *)
-let reference =
-  {
-    Solver.default_options with
-    use_bounds = false;
-    node_bounds = Solver.Realize_never;
-  }
+(* Engine-free reference options: no stage-1 bounds. The heuristic
+   stays on (its witnesses are validated), so only the exact search
+   core decides. *)
+let reference = { Solver.default_options with use_bounds = false }
 
 let contains haystack needle =
   let nl = String.length needle and l = String.length haystack in
@@ -218,24 +213,28 @@ let test_solver_stats_carry_bounds () =
   Alcotest.(check bool) "stats json has bounds object" true
     (contains (Solver.stats_to_json stats) "\"bounds\"")
 
-(* ------------------------------------------------------------------ *)
-(* Oriented (node-level) checks                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_check_oriented_uses_arcs () =
-  let e = Engine.create () in
-  (* No precedence at all: two 1x1x3 tasks fit a 2-wide chip in 3
-     cycles side by side. An oriented arc 0 -> 1 (a branching decision)
-     forces 6 cycles, so the same node is refuted at t_max = 5. *)
-  let i = inst [ box3 1 1 3; box3 1 1 3 ] in
-  let c = cont3 2 2 5 in
-  (match Engine.check e i c with
-  | Engine.Infeasible _ -> Alcotest.fail "feasible instance refuted at root"
-  | _ -> ());
-  let seq = Graphlib.Digraph.of_arcs 2 [ (0, 1) ] in
-  match Engine.check_oriented e i c ~sequencing:seq with
-  | Engine.Infeasible _ -> ()
-  | _ -> Alcotest.fail "oriented chain 3+3 must refute t_max = 5"
+(* The bounds run once, at the root: a solve the search settles reports
+   exactly one call per registered bound, sequential and parallel. *)
+let test_root_only_bound_calls () =
+  let options = { Solver.default_options with use_heuristic = false } in
+  List.iter
+    (fun jobs ->
+      let r =
+        Packing.Parallel_solver.solve ~options ~jobs Benchmarks.De.instance
+          (cont3 16 16 14)
+      in
+      let stats = r.Packing.Parallel_solver.stats in
+      (match r.Packing.Parallel_solver.outcome with
+      | Solver.Feasible _ -> ()
+      | o -> Alcotest.failf "jobs %d: %a" jobs Solver.pp_outcome o);
+      Alcotest.(check bool) "settled by search" true (stats.Solver.nodes > 0);
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "jobs %d: one call per bound" jobs)
+        (List.map (fun name -> (name, 1)) Engine.default_names)
+        (List.map
+           (fun (name, c) -> (name, c.Packing.Telemetry.calls))
+           stats.Solver.bounds))
+    [ 1; 2 ]
 
 (* A 10^8-cell chip side: the DFF and energetic products used to wrap
    past max_int into an [Infeasible] certificate at 0 nodes (dff-volume
@@ -259,9 +258,27 @@ let test_huge_container_no_overflow () =
   (match Engine.check (Engine.create ()) de (cont3 side side 5) with
   | Engine.Infeasible _ -> ()
   | v -> Alcotest.failf "5 cycles < critical path 6: %a" Engine.pp_verdict v);
-  Alcotest.(check int) "saturating product" max_int (Engine.sat_mul side (side * side));
+  Alcotest.(check int) "saturating product" max_int
+    (Geometry.Saturating.mul side (side * side));
   Alcotest.(check int) "exact product below max_int" (side * side)
-    (Engine.sat_mul side side)
+    (Geometry.Saturating.mul side side)
+
+(* Three 2*10^9-square one-cycle tasks in 5 cycles: each volume fits an
+   int, their sum does not. The wrapped total volume used to lower the
+   square-base floor below the tasks' own side, so min-area answered
+   2060260762 although the 2*10^9 chip holds the tasks one per cycle. *)
+let test_wrapped_volume_floor () =
+  let side = 2_000_000_000 in
+  let i = inst (List.init 3 (fun _ -> box3 side side 1)) in
+  Alcotest.(check int) "total volume saturates" max_int
+    (Packing.Instance.total_volume i);
+  (match Problems.minimize_base i ~t_max:5 with
+  | Problems.Optimal { value; _ } -> Alcotest.(check int) "min-area" side value
+  | _ -> Alcotest.fail "expected a proven optimum");
+  match Problems.minimize_area_rect i ~t_max:5 with
+  | Problems.Optimal { value = w, h; _ } ->
+    Alcotest.(check (pair int int)) "rectangle" (side, side) (w, h)
+  | _ -> Alcotest.fail "expected a proven rectangular optimum"
 
 let () =
   Alcotest.run "bounds engine"
@@ -289,15 +306,14 @@ let () =
           Alcotest.test_case "verdict json" `Quick test_verdict_json;
           Alcotest.test_case "solver stats carry bounds" `Quick
             test_solver_stats_carry_bounds;
-        ] );
-      ( "oriented",
-        [
-          Alcotest.test_case "check_oriented uses arcs" `Quick
-            test_check_oriented_uses_arcs;
+          Alcotest.test_case "root-only bound calls" `Quick
+            test_root_only_bound_calls;
         ] );
       ( "overflow",
         [
           Alcotest.test_case "10^8 chip is not refuted" `Quick
             test_huge_container_no_overflow;
+          Alcotest.test_case "wrapped volume floor" `Quick
+            test_wrapped_volume_floor;
         ] );
     ]

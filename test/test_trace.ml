@@ -134,6 +134,39 @@ let test_summary_matches_stats () =
     Alcotest.(check bool) "found the incumbent" true
       (List.exists (fun (_, obj) -> obj = 14) s.Trace.Summary.incumbents)
 
+(* Stages 1 and 2 run through one presolve whatever the job count, so
+   a jobs-2 trace carries the same phase events as a jobs-1 trace: the
+   heuristic settles DE at 16x16x14 after the bounds (with its
+   incumbent), and without the heuristic the search phase follows. *)
+let test_summary_phases_jobs () =
+  let phases ~use_heuristic ~jobs =
+    let trace = Trace.create () in
+    let options = { (traced_options trace) with use_heuristic } in
+    let r = Packing.Parallel_solver.solve ~options ~jobs de (cont3 16 16 14) in
+    (match r.Packing.Parallel_solver.outcome with
+    | Solver.Feasible _ -> ()
+    | _ -> Alcotest.fail "DE at 16x16x14 must be feasible");
+    match Trace.Summary.of_lines (jsonl_lines trace) with
+    | Error msg -> Alcotest.failf "summary failed: %s" msg
+    | Ok s ->
+      Alcotest.(check bool) "incumbent recorded" true
+        (s.Trace.Summary.incumbents <> []);
+      List.sort compare (List.map fst s.Trace.Summary.phases)
+  in
+  List.iter
+    (fun (use_heuristic, expected) ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "heuristic %b, jobs %d" use_heuristic jobs)
+            expected
+            (phases ~use_heuristic ~jobs))
+        [ 1; 2 ])
+    [
+      (true, [ "stage1-bounds"; "stage2-heuristic" ]);
+      (false, [ "stage1-bounds"; "stage3-search" ]);
+    ]
+
 (* Online_op events aggregate into the summary's per-op table, keeping
    counts exact and durations additive, sorted by op name. *)
 let test_summary_online_ops () =
@@ -284,6 +317,8 @@ let () =
             test_summary_matches_stats;
           Alcotest.test_case "aggregates online ops" `Quick
             test_summary_online_ops;
+          Alcotest.test_case "jobs 2 records the stage phases" `Quick
+            test_summary_phases_jobs;
         ] );
       ( "ring",
         [
