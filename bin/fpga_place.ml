@@ -74,6 +74,10 @@ let resolve_time io = function
     | Some t -> Ok t
     | None -> Error "no time budget: pass --time T or add a `time` line")
 
+let resolve_chip_time io chip time =
+  Result.bind (resolve_chip io chip) (fun chip ->
+      Result.map (fun t_max -> (chip, t_max)) (resolve_time io time))
+
 (* Resolve the target container for a dimension-generic subcommand:
    --container, then the file's `container` line, then (3-dimensional
    instances only) the chip/time surface. *)
@@ -99,13 +103,46 @@ let resolve_container io ~chip ~time container_arg =
       else Ok (`Container c)
     | None ->
       if d = 3 then
-        match (resolve_chip io chip, resolve_time io time) with
-        | Error m, _ | _, Error m -> Error m
-        | Ok chip, Ok t_max -> Ok (`Chip (chip, t_max))
+        Result.map (fun ct -> `Chip ct) (resolve_chip_time io chip time)
       else
         Error
           "no container: pass --container E0x..xE(d-1) or add a `container` \
            line to the file")
+
+let container_of = function
+  | `Chip (chip, t_max) -> Fpga.Chip.container chip ~t_max
+  | `Container c -> c
+
+let err msg =
+  Format.eprintf "error: %s@." msg;
+  1
+
+(* The input step: read FILE and resolve the target the subcommand
+   needs, from the command line first and the file second. *)
+let read_input resolve file =
+  Result.bind (read_instance file) (fun io ->
+      Result.map (fun target -> (io.Fpga.Instance_io.instance, target)) (resolve io))
+
+(* Continue with [k] on [Ok]; report an [Error] and exit 1. *)
+let with_ok result k = match result with Error msg -> err msg | Ok x -> k x
+
+let chip_input =
+  Term.(const (fun file chip -> read_input (fun io -> resolve_chip io chip) file)
+        $ file_arg $ chip_opt)
+
+let time_input =
+  Term.(const (fun file time -> read_input (fun io -> resolve_time io time) file)
+        $ file_arg $ time_opt)
+
+let chip_time_input =
+  Term.(const (fun file chip time ->
+            read_input (fun io -> resolve_chip_time io chip time) file)
+        $ file_arg $ chip_opt $ time_opt)
+
+let container_input =
+  Term.(const (fun file chip time container ->
+            read_input (fun io -> resolve_container io ~chip ~time container) file)
+        $ file_arg $ chip_opt $ time_opt $ container_opt)
 
 (* Label + origin tuple per task, for instances outside the 3-dimensional
    chip surface (no Gantt/occupancy rendering there). *)
@@ -143,10 +180,6 @@ let show_placement ~quiet ~render inst chip t_max placement =
         (Geometry.Render.timeline placement
            ~container:(Fpga.Chip.container chip ~t_max))
   end
-
-let err msg =
-  Format.eprintf "error: %s@." msg;
-  1
 
 let svg_opt =
   Arg.(value & opt (some string) None
@@ -187,17 +220,9 @@ let stats_opt =
            ~doc:"Print solver statistics in the given format (only: json). \
                  With --jobs > 1 the report includes per-worker counters.")
 
-let realize_opt =
-  Arg.(value
-       & opt (enum [ ("adaptive", `Adaptive); ("always", `Always); ("never", `Never) ])
-           `Adaptive
-       & info [ "realize" ] ~docv:"POLICY"
-           ~doc:"Throttle for the per-node early-realization attempt: \
-                 adaptive (default; attempt only once enough pairs are \
-                 decided, with exponential backoff on failures), always \
-                 (every node, the pre-throttle behavior), or never (exact \
-                 leaf checks only). The verdict is identical under every \
-                 policy; only the search speed changes.")
+(* --stats json: one JSON line on stdout, built only when asked for. *)
+let print_stats stats json =
+  match stats with Some `Json -> Format.printf "%s@." (json ()) | None -> ()
 
 let trace_opt =
   Arg.(value & opt (some string) None
@@ -206,6 +231,23 @@ let trace_opt =
                  Chrome trace-event format (load in chrome://tracing or \
                  Perfetto); any other name writes JSONL, one event per line \
                  (see `trace-summary`).")
+
+(* The --trace recorder to thread through a run, and the closure that
+   writes the file once the run is done (events live in memory until
+   then). *)
+let trace_recorder = function
+  | None -> (Packing.Trace.null, ignore)
+  | Some path ->
+    let trace = Packing.Trace.create () in
+    let write () =
+      let oc = open_out path in
+      if Filename.check_suffix path ".json" then
+        Packing.Trace.write_chrome trace oc
+      else Packing.Trace.write_jsonl trace oc;
+      close_out oc;
+      Format.eprintf "wrote %s@." path
+    in
+    (trace, write)
 
 let progress_opt =
   Arg.(value & opt ~vopt:(Some 1.0) (some float) None
@@ -232,54 +274,40 @@ let heartbeat_line (p : Packing.Telemetry.progress) =
    splice (the same funnel the serve subcommand uses for JSONL). *)
 let stderr_writer = lazy (Service.Writer.of_channel stderr)
 
-(* Install the --trace / --progress plumbing into solver options.
-   Returns the adjusted options plus a closure that writes the trace
-   file once the solve is done (events live in memory until then). *)
-let with_observability options trace_file progress =
-  let trace =
-    match trace_file with
-    | None -> Packing.Trace.null
-    | Some _ -> Packing.Trace.create ()
-  in
-  let options = { options with Packing.Opp_solver.trace } in
-  let options =
-    match progress with
-    | None -> options
-    | Some interval ->
-      {
-        options with
-        Packing.Opp_solver.progress_interval_s = interval;
-        on_heartbeat =
-          Some
-            (fun p ->
-              Service.Writer.line (Lazy.force stderr_writer)
-                (heartbeat_line p));
-      }
-  in
-  let write_trace () =
-    match trace_file with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      if Filename.check_suffix path ".json" then
-        Packing.Trace.write_chrome trace oc
-      else Packing.Trace.write_jsonl trace oc;
-      close_out oc;
-      Format.eprintf "wrote %s@." path
-  in
-  (options, write_trace)
+(* What every solving subcommand builds from its budget, stats and
+   observability flags: solver options carrying the --time-limit
+   deadline, the --trace recorder and the --progress heartbeat, plus
+   the --jobs count, the --stats format and the trace writer. *)
+type setup = {
+  options : Packing.Opp_solver.options;
+  jobs : int;
+  stats : [ `Json ] option;
+  write_trace : unit -> unit;
+}
 
-let options_with_deadline time_limit realize =
-  let realize =
-    match realize with
-    | `Adaptive -> Packing.Opp_solver.default_realize
-    | `Always -> Packing.Opp_solver.Realize_always
-    | `Never -> Packing.Opp_solver.Realize_never
+let setup_term =
+  let make jobs time_limit stats trace_file progress =
+    let trace, write_trace = trace_recorder trace_file in
+    let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) time_limit in
+    let options = { Packing.Opp_solver.default_options with trace; deadline } in
+    let options =
+      match progress with
+      | None -> options
+      | Some interval ->
+        {
+          options with
+          progress_interval_s = interval;
+          on_heartbeat =
+            Some
+              (fun p ->
+                Service.Writer.line (Lazy.force stderr_writer)
+                  (heartbeat_line p));
+        }
+    in
+    { options; jobs; stats; write_trace }
   in
-  let options = { Packing.Opp_solver.default_options with realize } in
-  match time_limit with
-  | None -> options
-  | Some s -> { options with deadline = Some (Unix.gettimeofday () +. s) }
+  Term.(const make $ jobs_opt $ time_limit_opt $ stats_opt $ trace_opt
+        $ progress_opt)
 
 let no_heuristic_flag =
   Arg.(value & flag
@@ -289,76 +317,54 @@ let no_heuristic_flag =
                  search events on instances the heuristic would settle).")
 
 let solve_cmd =
-  let run file chip time container_arg render quiet svg jobs time_limit stats
-      realize trace_file progress no_heuristic =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match resolve_container io ~chip ~time container_arg with
-      | Error msg -> err msg
-      | Ok target -> (
-        let inst = io.Fpga.Instance_io.instance in
-        let container =
-          match target with
-          | `Chip (chip, t_max) -> Fpga.Chip.container chip ~t_max
-          | `Container c -> c
+  let run input render quiet svg setup no_heuristic =
+    with_ok input @@ fun (inst, target) ->
+    let options =
+      { setup.options with Packing.Opp_solver.use_heuristic = not no_heuristic }
+    in
+    let container = container_of target in
+    let outcome, pp_report =
+      if setup.jobs > 1 then begin
+        let r =
+          Packing.Parallel_solver.solve ~options ~jobs:setup.jobs inst container
         in
-        let options = options_with_deadline time_limit realize in
-        let options =
-          if no_heuristic then
-            { options with Packing.Opp_solver.use_heuristic = false }
-          else options
-        in
-        let options, write_trace =
-          with_observability options trace_file progress
-        in
-        let finish outcome pp_report =
-          write_trace ();
-          match outcome with
-          | Packing.Opp_solver.Feasible p ->
-            (match target with
-            | `Chip (chip, t_max) ->
-              Format.printf "feasible on %a within %d cycles (%t)@."
-                Fpga.Chip.pp chip t_max pp_report;
-              show_placement ~quiet ~render inst chip t_max p;
-              write_svg inst chip t_max p svg
-            | `Container c ->
-              Format.printf "feasible in %a (%t)@." pp_container c pp_report;
-              show_placement_ddim ~quiet inst p);
-            0
-          | Packing.Opp_solver.Infeasible ->
-            Format.printf "infeasible (%t)@." pp_report;
-            2
-          | Packing.Opp_solver.Timeout ->
-            Format.printf "timeout (%t)@." pp_report;
-            3
-        in
-        if jobs > 1 then begin
-          let r = Packing.Parallel_solver.solve ~options ~jobs inst container in
-          (match stats with
-          | Some `Json ->
-            Format.printf "%s@." (Packing.Parallel_solver.report_to_json r)
-          | None -> ());
-          finish r.Packing.Parallel_solver.outcome (fun fmt ->
-              Format.fprintf fmt "%d jobs, %d tasks, %d steals, %a" r.jobs
-                r.tasks r.steals Packing.Opp_solver.pp_stats
-                r.Packing.Parallel_solver.stats)
-        end
-        else begin
-          let outcome, st = Packing.Opp_solver.solve ~options inst container in
-          (match stats with
-          | Some `Json ->
-            Format.printf "%s@." (Packing.Opp_solver.stats_to_json st)
-          | None -> ());
-          finish outcome (fun fmt -> Packing.Opp_solver.pp_stats fmt st)
-        end))
+        print_stats setup.stats (fun () ->
+            Packing.Parallel_solver.report_to_json r);
+        ( r.outcome,
+          fun fmt ->
+            Format.fprintf fmt "%d jobs, %d tasks, %d steals, %a" r.jobs r.tasks
+              r.steals Packing.Opp_solver.pp_stats r.stats )
+      end
+      else begin
+        let outcome, st = Packing.Opp_solver.solve ~options inst container in
+        print_stats setup.stats (fun () -> Packing.Opp_solver.stats_to_json st);
+        (outcome, fun fmt -> Packing.Opp_solver.pp_stats fmt st)
+      end
+    in
+    setup.write_trace ();
+    match outcome with
+    | Packing.Opp_solver.Feasible p ->
+      (match target with
+      | `Chip (chip, t_max) ->
+        Format.printf "feasible on %a within %d cycles (%t)@." Fpga.Chip.pp chip
+          t_max pp_report;
+        show_placement ~quiet ~render inst chip t_max p;
+        write_svg inst chip t_max p svg
+      | `Container c ->
+        Format.printf "feasible in %a (%t)@." pp_container c pp_report;
+        show_placement_ddim ~quiet inst p);
+      0
+    | Packing.Opp_solver.Infeasible ->
+      Format.printf "infeasible (%t)@." pp_report;
+      2
+    | Packing.Opp_solver.Timeout ->
+      Format.printf "timeout (%t)@." pp_report;
+      3
   in
   let doc = "Decide feasibility of a placement (FeasAT&FindS)." in
   Cmd.v (Cmd.info "solve" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt $ container_opt
-          $ render_flag $ quiet_flag
-          $ svg_opt $ jobs_opt $ time_limit_opt $ stats_opt $ realize_opt
-          $ trace_opt $ progress_opt $ no_heuristic_flag)
+    Term.(const run $ container_input $ render_flag $ quiet_flag $ svg_opt
+          $ setup_term $ no_heuristic_flag)
 
 (* Collect the probe trace for --stats json; the returned callback is
    handed to the Problems driver as [on_probe]. *)
@@ -369,18 +375,14 @@ let probe_collector () =
 
 (* One-line JSON for an anytime minimization: status, value/bounds, and
    the per-probe trace. *)
-let anytime_stats_json ~problem ~value_json result probes =
+let anytime_stats_json ~problem result probes =
   let open Packing.Telemetry in
   let fields =
     match result with
-    | Packing.Problems.Optimal { value; _ } -> [ ("value", value_json value) ]
+    | Packing.Problems.Optimal { value; _ } -> [ ("value", Int value) ]
     | Packing.Problems.Feasible_incumbent
         { incumbent = { value; _ }; lower_bound; gap } ->
-      [
-        ("value", value_json value);
-        ("lower_bound", Int lower_bound);
-        ("gap", Int gap);
-      ]
+      [ ("value", Int value); ("lower_bound", Int lower_bound); ("gap", Int gap) ]
     | Packing.Problems.Infeasible -> []
     | Packing.Problems.Unknown { lower_bound } ->
       [ ("lower_bound", Int lower_bound) ]
@@ -402,61 +404,57 @@ let anytime_stats_json ~problem ~value_json result probes =
                   [] probes) );
          ]))
 
+(* The anytime reporter shared by min-time, min-extent and min-area:
+   run the minimization, write the trace, print the --stats json line,
+   then the outcome's message and placement. The exit code is 0 for a
+   proven optimum, 2 for proven infeasibility and 3 when the budget ran
+   out. *)
+let report_anytime setup ~problem ~show ~optimal ~incumbent ~infeasible
+    ~unknown minimize =
+  let probes, on_probe = probe_collector () in
+  let result = minimize ~options:setup.options ~jobs:setup.jobs ~on_probe in
+  setup.write_trace ();
+  print_stats setup.stats (fun () ->
+      anytime_stats_json ~problem result (probes ()));
+  match result with
+  | Packing.Problems.Optimal { value; placement } ->
+    Format.printf "%s@." (optimal value);
+    show value placement;
+    0
+  | Packing.Problems.Feasible_incumbent
+      { incumbent = { value; placement }; lower_bound; gap } ->
+    Format.printf "%s (proven lower bound %d, gap %d)@." (incumbent value)
+      lower_bound gap;
+    show value placement;
+    3
+  | Packing.Problems.Infeasible ->
+    Format.printf "%s@." infeasible;
+    2
+  | Packing.Problems.Unknown { lower_bound } ->
+    Format.printf "%s@." (unknown lower_bound);
+    3
+
 let min_time_cmd =
-  let run file chip render quiet jobs time_limit stats realize
-      trace_file progress =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match resolve_chip io chip with
-      | Error msg -> err msg
-      | Ok chip ->
-        let inst = io.Fpga.Instance_io.instance in
-        let options = options_with_deadline time_limit realize in
-        let options, write_trace =
-          with_observability options trace_file progress
-        in
-        let probes, on_probe = probe_collector () in
-        let result =
-          Packing.Problems.minimize_time ~options ~jobs ~on_probe inst
-            ~w:(Fpga.Chip.width chip) ~h:(Fpga.Chip.height chip)
-        in
-        write_trace ();
-        (match stats with
-        | Some `Json ->
-          Format.printf "%s@."
-            (anytime_stats_json ~problem:"min-time"
-               ~value_json:(fun v -> Packing.Telemetry.Int v)
-               result (probes ()))
-        | None -> ());
-        (match result with
-        | Packing.Problems.Optimal { value; placement } ->
-          Format.printf "minimal makespan on %a: %d cycles@." Fpga.Chip.pp chip
-            value;
-          show_placement ~quiet ~render inst chip value placement;
-          0
-        | Packing.Problems.Feasible_incumbent
-            { incumbent = { value; placement }; lower_bound; gap } ->
-          Format.printf
-            "budget exhausted: best makespan found on %a: %d cycles (proven \
-             lower bound %d, gap %d)@."
-            Fpga.Chip.pp chip value lower_bound gap;
-          show_placement ~quiet ~render inst chip value placement;
-          3
-        | Packing.Problems.Infeasible ->
-          Format.printf "no makespan works: a task overflows the chip@.";
-          2
-        | Packing.Problems.Unknown { lower_bound } ->
-          Format.printf
-            "budget exhausted before any schedule was found (makespan >= %d)@."
-            lower_bound;
-          3))
+  let run input render quiet setup =
+    with_ok input @@ fun (inst, chip) ->
+    let on = Format.asprintf "%a" Fpga.Chip.pp chip in
+    report_anytime setup ~problem:"min-time"
+      ~show:(show_placement ~quiet ~render inst chip)
+      ~optimal:(Printf.sprintf "minimal makespan on %s: %d cycles" on)
+      ~incumbent:
+        (Printf.sprintf "budget exhausted: best makespan found on %s: %d cycles"
+           on)
+      ~infeasible:"no makespan works: a task overflows the chip"
+      ~unknown:
+        (Printf.sprintf
+           "budget exhausted before any schedule was found (makespan >= %d)")
+      (fun ~options ~jobs ~on_probe ->
+        Packing.Problems.minimize_time ~options ~jobs ~on_probe inst
+          ~w:(Fpga.Chip.width chip) ~h:(Fpga.Chip.height chip))
   in
   let doc = "Minimize the makespan on a fixed chip (MinT&FindS / SPP)." in
   Cmd.v (Cmd.info "min-time" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ render_flag $ quiet_flag $ jobs_opt
-          $ time_limit_opt $ stats_opt $ realize_opt
-          $ trace_opt $ progress_opt)
+    Term.(const run $ chip_input $ render_flag $ quiet_flag $ setup_term)
 
 let min_extent_cmd =
   let axis_opt =
@@ -466,74 +464,32 @@ let min_extent_cmd =
                    objective axis). With a 2-dimensional instance and axis 1 \
                    this is open-ended strip packing.")
   in
-  let run file chip time container_arg axis quiet jobs time_limit stats
-      realize trace_file progress =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      let inst = io.Fpga.Instance_io.instance in
-      let d = Packing.Instance.dim inst in
-      let axis =
-        match axis with
-        | None -> Packing.Instance.objective_axis inst
-        | Some k -> k
-      in
-      if axis < 0 || axis >= d then
-        err (Printf.sprintf "axis %d out of range for a %d-dimensional instance" axis d)
-      else
-        (* The base's extent along the minimized axis is ignored, so the
-           3-dimensional chip surface needs no time budget when the time
-           axis itself is being minimized. *)
-        let time =
-          if time = None && d = 3 && axis = 2 then Some 1 else time
-        in
-        match resolve_container io ~chip ~time container_arg with
-        | Error msg -> err msg
-        | Ok target ->
-          let base =
-            match target with
-            | `Chip (chip, t_max) -> Fpga.Chip.container chip ~t_max
-            | `Container c -> c
-          in
-          let options = options_with_deadline time_limit realize in
-          let options, write_trace =
-            with_observability options trace_file progress
-          in
-          let probes, on_probe = probe_collector () in
-          let result =
-            Packing.Problems.minimize_extent ~options ~jobs ~on_probe inst
-              ~axis ~base
-          in
-          write_trace ();
-          (match stats with
-          | Some `Json ->
-            Format.printf "%s@."
-              (anytime_stats_json ~problem:"min-extent"
-                 ~value_json:(fun v -> Packing.Telemetry.Int v)
-                 result (probes ()))
-          | None -> ());
-          (match result with
-          | Packing.Problems.Optimal { value; placement } ->
-            Format.printf "minimal extent along axis %d: %d@." axis value;
-            show_placement_ddim ~quiet inst placement;
-            0
-          | Packing.Problems.Feasible_incumbent
-              { incumbent = { value; placement }; lower_bound; gap } ->
-            Format.printf
-              "budget exhausted: best extent found along axis %d: %d (proven \
-               lower bound %d, gap %d)@."
-              axis value lower_bound gap;
-            show_placement_ddim ~quiet inst placement;
-            3
-          | Packing.Problems.Infeasible ->
-            Format.printf
-              "no extent works: a task overflows the base cross-section@.";
-            2
-          | Packing.Problems.Unknown { lower_bound } ->
-            Format.printf
-              "budget exhausted before any placement was found (extent >= %d)@."
-              lower_bound;
-            3))
+  let run file chip time container_arg axis quiet setup =
+    with_ok (read_instance file) @@ fun io ->
+    let inst = io.Fpga.Instance_io.instance in
+    let d = Packing.Instance.dim inst in
+    let axis = Option.value axis ~default:(Packing.Instance.objective_axis inst) in
+    if axis < 0 || axis >= d then
+      err (Printf.sprintf "axis %d out of range for a %d-dimensional instance" axis d)
+    else
+      (* The base's extent along the minimized axis is ignored, so the
+         3-dimensional chip surface needs no time budget when the time
+         axis itself is being minimized. *)
+      let time = if time = None && d = 3 && axis = 2 then Some 1 else time in
+      with_ok (resolve_container io ~chip ~time container_arg) @@ fun target ->
+      report_anytime setup ~problem:"min-extent"
+        ~show:(fun _ -> show_placement_ddim ~quiet inst)
+        ~optimal:(Printf.sprintf "minimal extent along axis %d: %d" axis)
+        ~incumbent:
+          (Printf.sprintf "budget exhausted: best extent found along axis %d: %d"
+             axis)
+        ~infeasible:"no extent works: a task overflows the base cross-section"
+        ~unknown:
+          (Printf.sprintf
+             "budget exhausted before any placement was found (extent >= %d)")
+        (fun ~options ~jobs ~on_probe ->
+          Packing.Problems.minimize_extent ~options ~jobs ~on_probe inst ~axis
+            ~base:(container_of target))
   in
   let doc =
     "Minimize the container extent along one axis (dimension-generic \
@@ -541,65 +497,28 @@ let min_extent_cmd =
   in
   Cmd.v (Cmd.info "min-extent" ~doc)
     Term.(const run $ file_arg $ chip_opt $ time_opt $ container_opt $ axis_opt
-          $ quiet_flag $ jobs_opt $ time_limit_opt $ stats_opt $ realize_opt
-          $ trace_opt $ progress_opt)
+          $ quiet_flag $ setup_term)
 
 let min_area_cmd =
-  let run file time render quiet jobs time_limit stats realize
-      trace_file progress =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match resolve_time io time with
-      | Error msg -> err msg
-      | Ok t_max ->
-        let inst = io.Fpga.Instance_io.instance in
-        let options = options_with_deadline time_limit realize in
-        let options, write_trace =
-          with_observability options trace_file progress
-        in
-        let probes, on_probe = probe_collector () in
-        let result =
-          Packing.Problems.minimize_base ~options ~jobs ~on_probe inst ~t_max
-        in
-        write_trace ();
-        (match stats with
-        | Some `Json ->
-          Format.printf "%s@."
-            (anytime_stats_json ~problem:"min-area"
-               ~value_json:(fun v -> Packing.Telemetry.Int v)
-               result (probes ()))
-        | None -> ());
-        (match result with
-        | Packing.Problems.Optimal { value; placement } ->
-          Format.printf "minimal chip for %d cycles: %dx%d@." t_max value value;
-          show_placement ~quiet ~render inst (Fpga.Chip.square value) t_max
-            placement;
-          0
-        | Packing.Problems.Feasible_incumbent
-            { incumbent = { value; placement }; lower_bound; gap } ->
-          Format.printf
-            "budget exhausted: best chip found for %d cycles: %dx%d (proven \
-             lower bound %d, gap %d)@."
-            t_max value value lower_bound gap;
-          show_placement ~quiet ~render inst (Fpga.Chip.square value) t_max
-            placement;
-          3
-        | Packing.Problems.Infeasible ->
-          Format.printf
-            "no chip works: the critical path exceeds %d cycles@." t_max;
-          2
-        | Packing.Problems.Unknown { lower_bound } ->
-          Format.printf
-            "budget exhausted before any chip was found (side >= %d)@."
-            lower_bound;
-          3))
+  let run input render quiet setup =
+    with_ok input @@ fun (inst, t_max) ->
+    report_anytime setup ~problem:"min-area"
+      ~show:(fun side ->
+        show_placement ~quiet ~render inst (Fpga.Chip.square side) t_max)
+      ~optimal:(fun v -> Printf.sprintf "minimal chip for %d cycles: %dx%d" t_max v v)
+      ~incumbent:(fun v ->
+        Printf.sprintf "budget exhausted: best chip found for %d cycles: %dx%d"
+          t_max v v)
+      ~infeasible:
+        (Printf.sprintf "no chip works: the critical path exceeds %d cycles" t_max)
+      ~unknown:
+        (Printf.sprintf "budget exhausted before any chip was found (side >= %d)")
+      (fun ~options ~jobs ~on_probe ->
+        Packing.Problems.minimize_base ~options ~jobs ~on_probe inst ~t_max)
   in
   let doc = "Minimize a quadratic chip for a time budget (MinA&FindS / BMP)." in
   Cmd.v (Cmd.info "min-area" ~doc)
-    Term.(const run $ file_arg $ time_opt $ render_flag $ quiet_flag $ jobs_opt
-          $ time_limit_opt $ stats_opt $ realize_opt
-          $ trace_opt $ progress_opt)
+    Term.(const run $ time_input $ render_flag $ quiet_flag $ setup_term)
 
 let pareto_cmd =
   let h_min_arg =
@@ -628,343 +547,254 @@ let pareto_cmd =
              ~doc:"Axis whose extent to minimize at each sweep step (with \
                    --sweep-axis).")
   in
-  let run file h_min h_max no_prec sweep_axis min_axis container_arg quiet
-      jobs time_limit stats trace_file progress =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io ->
-      let inst = io.Fpga.Instance_io.instance in
-      let inst =
-        if no_prec then Packing.Instance.without_precedence inst else inst
-      in
-      let options = options_with_deadline time_limit `Adaptive in
-      let options, write_trace = with_observability options trace_file progress in
-      let probes, on_probe = probe_collector () in
-      let front =
-        match (sweep_axis, min_axis) with
-        | None, None ->
-          Ok
-            (Packing.Problems.pareto_front ~options ~jobs ~on_probe inst ~h_min
-               ~h_max)
-        | Some sweep, Some minimize -> (
-          let d = Packing.Instance.dim inst in
-          if sweep < 0 || sweep >= d || minimize < 0 || minimize >= d then
-            Error
-              (Printf.sprintf
-                 "axes must lie in 0..%d for this instance" (d - 1))
-          else if sweep = minimize then
-            Error "--sweep-axis and --min-axis must differ"
-          else
-          match resolve_container io ~chip:None ~time:None container_arg with
-          | Error msg -> Error msg
-          | Ok (`Chip (chip, t_max)) ->
-            (* 3-dimensional fallback: the chip surface still names a base. *)
-            Ok
-              (Packing.Problems.pareto_front_axes ~options ~jobs ~on_probe inst
-                 ~sweep ~minimize ~lo:h_min ~hi:h_max
-                 ~base:(Fpga.Chip.container chip ~t_max))
-          | Ok (`Container base) ->
-            Ok
-              (Packing.Problems.pareto_front_axes ~options ~jobs ~on_probe inst
-                 ~sweep ~minimize ~lo:h_min ~hi:h_max ~base))
-        | _ -> Error "--sweep-axis and --min-axis must be given together"
-      in
-      match front with
-      | Error msg -> err msg
-      | Ok { Packing.Problems.points; complete } ->
-      write_trace ();
-      (match stats with
-      | Some `Json ->
+  let run file h_min h_max no_prec sweep_axis min_axis container_arg quiet setup
+      =
+    with_ok (read_instance file) @@ fun io ->
+    let inst = io.Fpga.Instance_io.instance in
+    let inst = if no_prec then Packing.Instance.without_precedence inst else inst in
+    let { options; jobs; _ } = setup in
+    let probes, on_probe = probe_collector () in
+    let front =
+      match (sweep_axis, min_axis) with
+      | None, None ->
+        Ok (Packing.Problems.pareto_front ~options ~jobs ~on_probe inst ~h_min ~h_max)
+      | Some sweep, Some minimize ->
+        let d = Packing.Instance.dim inst in
+        if sweep < 0 || sweep >= d || minimize < 0 || minimize >= d then
+          Error (Printf.sprintf "axes must lie in 0..%d for this instance" (d - 1))
+        else if sweep = minimize then Error "--sweep-axis and --min-axis must differ"
+        else
+          (* A 3-dimensional file without a container still names a base
+             through its chip surface. *)
+          Result.map
+            (fun target ->
+              Packing.Problems.pareto_front_axes ~options ~jobs ~on_probe inst
+                ~sweep ~minimize ~lo:h_min ~hi:h_max ~base:(container_of target))
+            (resolve_container io ~chip:None ~time:None container_arg)
+      | _ -> Error "--sweep-axis and --min-axis must be given together"
+    in
+    with_ok front @@ fun { Packing.Problems.points; complete } ->
+    setup.write_trace ();
+    print_stats setup.stats (fun () ->
         let open Packing.Telemetry in
-        Format.printf "%s@."
-          (to_string
-             (Obj
-                [
-                  ("problem", String "pareto");
-                  ("complete", Bool complete);
-                  ( "points",
-                    List
-                      (List.map
-                         (fun (h, t) -> List [ Int h; Int t ])
-                         points) );
-                  ( "probes",
-                    List (List.map Packing.Problems.probe_json (probes ())) );
-                ]))
-      | None -> ());
-      (match sweep_axis with
-      | None ->
-        if not quiet then Format.printf "chip  makespan@.";
-        List.iter (fun (h, t) -> Format.printf "%dx%d  %d@." h h t) points
-      | Some sweep ->
-        let minimize = Option.value min_axis ~default:(-1) in
-        if not quiet then
-          Format.printf "axis%d  axis%d@." sweep minimize;
-        List.iter (fun (s, e) -> Format.printf "%d  %d@." s e) points);
-      if complete then 0
-      else begin
-        Format.printf
-          "(budget exhausted: the front may be missing or overstating points)@.";
-        3
-      end
+        to_string
+          (Obj
+             [
+               ("problem", String "pareto");
+               ("complete", Bool complete);
+               ("points", List (List.map (fun (h, t) -> List [ Int h; Int t ]) points));
+               ("probes", List (List.map Packing.Problems.probe_json (probes ())));
+             ]));
+    (match sweep_axis with
+    | None ->
+      if not quiet then Format.printf "chip  makespan@.";
+      List.iter (fun (h, t) -> Format.printf "%dx%d  %d@." h h t) points
+    | Some sweep ->
+      if not quiet then
+        Format.printf "axis%d  axis%d@." sweep (Option.value min_axis ~default:(-1));
+      List.iter (fun (s, e) -> Format.printf "%d  %d@." s e) points);
+    if complete then 0
+    else begin
+      Format.printf
+        "(budget exhausted: the front may be missing or overstating points)@.";
+      3
+    end
   in
   let doc = "Compute the chip-size/makespan Pareto front (paper Fig. 7)." in
   Cmd.v (Cmd.info "pareto" ~doc)
     Term.(const run $ file_arg $ h_min_arg $ h_max_arg $ no_prec
           $ sweep_axis_opt $ min_axis_opt $ container_opt $ quiet_flag
-          $ jobs_opt $ time_limit_opt $ stats_opt $ trace_opt $ progress_opt)
+          $ setup_term)
+
+(* Solve the chip/time instance and hand the witness to [k]; without
+   one there is [nothing] to do. *)
+let with_witness ~nothing inst chip t_max k =
+  match Packing.Opp_solver.solve inst (Fpga.Chip.container chip ~t_max) with
+  | Packing.Opp_solver.Feasible p, _ -> k p
+  | Packing.Opp_solver.Infeasible, _ ->
+    Format.printf "infeasible: nothing to %s@." nothing;
+    2
+  | Packing.Opp_solver.Timeout, _ ->
+    Format.printf "timeout@.";
+    3
 
 let simulate_cmd =
-  let run file chip time =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match (resolve_chip io chip, resolve_time io time) with
-      | Error msg, _ | _, Error msg -> err msg
-      | Ok chip, Ok t_max -> (
-        let inst = io.Fpga.Instance_io.instance in
-        let container = Fpga.Chip.container chip ~t_max in
-        match Packing.Opp_solver.solve inst container with
-        | Packing.Opp_solver.Feasible p, _ ->
-          let report = Fpga.Simulator.run inst p ~chip in
-          Format.printf "%a@." Fpga.Simulator.pp_report report;
-          if report.Fpga.Simulator.ok then 0 else 2
-        | Packing.Opp_solver.Infeasible, _ ->
-          Format.printf "infeasible: nothing to simulate@.";
-          2
-        | Packing.Opp_solver.Timeout, _ ->
-          Format.printf "timeout@.";
-          3))
+  let run input =
+    with_ok input @@ fun (inst, (chip, t_max)) ->
+    with_witness ~nothing:"simulate" inst chip t_max @@ fun p ->
+    let report = Fpga.Simulator.run inst p ~chip in
+    Format.printf "%a@." Fpga.Simulator.pp_report report;
+    if report.Fpga.Simulator.ok then 0 else 2
   in
   let doc = "Solve, then replay the placement on the chip simulator." in
-  Cmd.v (Cmd.info "simulate" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt)
+  Cmd.v (Cmd.info "simulate" ~doc) Term.(const run $ chip_time_input)
 
 let check_cmd =
   let schedule_arg =
     Arg.(required & pos 1 (some file) None
          & info [] ~docv:"SCHEDULE" ~doc:"Schedule file (start/place lines).")
   in
-  let run file schedule_file chip time render quiet =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match (resolve_chip io chip, resolve_time io time) with
-      | Error msg, _ | _, Error msg -> err msg
-      | Ok chip, Ok t_max -> (
-        let inst = io.Fpga.Instance_io.instance in
+  let run input schedule_file render quiet =
+    with_ok input @@ fun (inst, (chip, t_max)) ->
+    let entries =
+      try
+        let ic = open_in schedule_file in
+        let text = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        Ok (Fpga.Schedule_io.parse inst text)
+      with Failure msg | Sys_error msg -> Error msg
+    in
+    with_ok entries @@ fun entries ->
+    (* Fully positioned schedules are validated directly; start times
+       alone go through the FixedS solver. *)
+    match Fpga.Schedule_io.placement_of inst entries with
+    | Some p ->
+      let violations =
+        Geometry.Placement.check p
+          ~container:(Fpga.Chip.container chip ~t_max)
+          ~precedes:(Packing.Instance.precedes inst)
+      in
+      if violations = [] then begin
+        Format.printf "placement is feasible@.";
+        show_placement ~quiet ~render inst chip t_max p;
+        0
+      end
+      else begin
+        List.iter
+          (Format.printf "violation: %a@." Geometry.Placement.pp_violation)
+          violations;
+        2
+      end
+    | None -> (
+      match Fpga.Schedule_io.schedule_array inst entries with
+      | exception Failure msg -> err msg
+      | schedule -> (
         match
-          let ic = open_in schedule_file in
-          let len = in_channel_length ic in
-          let text = really_input_string ic len in
-          close_in ic;
-          Fpga.Schedule_io.parse inst text
+          Packing.Problems.feasible_fixed_schedule inst ~w:(Fpga.Chip.width chip)
+            ~h:(Fpga.Chip.height chip) ~t_max ~schedule
         with
-        | exception Failure msg -> err msg
-        | exception Sys_error msg -> err msg
-        | entries -> (
-          (* Fully positioned schedules are validated directly; start
-             times alone go through the FixedS solver. *)
-          match Fpga.Schedule_io.placement_of inst entries with
-          | Some p ->
-            let container = Fpga.Chip.container chip ~t_max in
-            let violations =
-              Geometry.Placement.check p ~container
-                ~precedes:(Packing.Instance.precedes inst)
-            in
-            if violations = [] then begin
-              Format.printf "placement is feasible@.";
-              show_placement ~quiet ~render inst chip t_max p;
-              0
-            end
-            else begin
-              List.iter
-                (Format.printf "violation: %a@." Geometry.Placement.pp_violation)
-                violations;
-              2
-            end
-          | None -> (
-            match
-              Fpga.Schedule_io.schedule_array inst entries
-            with
-            | exception Failure msg -> err msg
-            | schedule -> (
-              match
-                Packing.Problems.feasible_fixed_schedule inst
-                  ~w:(Fpga.Chip.width chip) ~h:(Fpga.Chip.height chip) ~t_max
-                  ~schedule
-              with
-              | Packing.Problems.Sat p ->
-                Format.printf "schedule is realizable@.";
-                show_placement ~quiet ~render inst chip t_max p;
-                0
-              | Packing.Problems.Unsat ->
-                Format.printf "schedule is NOT realizable on %a within %d \
-                               cycles@."
-                  Fpga.Chip.pp chip t_max;
-                2
-              | Packing.Problems.Undecided ->
-                Format.printf "budget exhausted: schedule undecided@.";
-                3)))))
+        | Packing.Problems.Sat p ->
+          Format.printf "schedule is realizable@.";
+          show_placement ~quiet ~render inst chip t_max p;
+          0
+        | Packing.Problems.Unsat ->
+          Format.printf "schedule is NOT realizable on %a within %d cycles@."
+            Fpga.Chip.pp chip t_max;
+          2
+        | Packing.Problems.Undecided ->
+          Format.printf "budget exhausted: schedule undecided@.";
+          3))
   in
   let doc =
     "Check a schedule file against a chip (FeasA&FixedS); `place` lines are \
      validated geometrically, `start` lines trigger the 2D placement search."
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ file_arg $ schedule_arg $ chip_opt $ time_opt
-          $ render_flag $ quiet_flag)
+    Term.(const run $ chip_time_input $ schedule_arg $ render_flag $ quiet_flag)
 
 let bounds_cmd =
-  let run file chip time stats =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match (resolve_chip io chip, resolve_time io time) with
-      | Error msg, _ | _, Error msg -> err msg
-      | Ok chip, Ok t_max ->
-        let inst = io.Fpga.Instance_io.instance in
-        let container = Fpga.Chip.container chip ~t_max in
-        let engine = Packing.Bound_engine.create () in
-        let verdicts = Packing.Bound_engine.run_all engine inst container in
-        Format.printf "volume: %d of %d cells-cycles@."
-          (Packing.Instance.total_volume inst)
-          (Geometry.Container.volume container);
-        Format.printf "critical path: %d of %d cycles@."
-          (Packing.Instance.critical_path inst)
-          t_max;
-        List.iter
-          (fun (name, v) ->
-            Format.printf "%-14s %a@." name Packing.Bound_engine.pp_verdict v)
-          verdicts;
-        let refuted =
-          List.exists
-            (fun (_, v) ->
-              match v with
-              | Packing.Bound_engine.Infeasible _ -> true
-              | Packing.Bound_engine.Lower_bound _
-              | Packing.Bound_engine.Inconclusive -> false)
-            verdicts
-        in
-        (match stats with
-        | Some `Json ->
-          let open Packing.Telemetry in
-          Format.printf "%s@."
-            (to_string
-               (Obj
-                  [
-                    ("problem", String "bounds");
-                    ( "verdicts",
-                      Obj
-                        (List.map
-                           (fun (name, v) ->
-                             (name, Packing.Bound_engine.verdict_json v))
-                           verdicts) );
-                    ( "bounds",
-                      bounds_to_json (Packing.Bound_engine.counters engine) );
-                  ]))
-        | Some `Text | None -> ());
-        if refuted then begin
-          Format.printf "verdict: infeasible@.";
-          2
-        end
-        else begin
-          Format.printf "verdict: bounds are silent, a search is needed@.";
-          0
-        end)
+  let run input stats =
+    with_ok input @@ fun (inst, (chip, t_max)) ->
+    let container = Fpga.Chip.container chip ~t_max in
+    let engine = Packing.Bound_engine.create () in
+    let verdicts = Packing.Bound_engine.run_all engine inst container in
+    Format.printf "volume: %d of %d cells-cycles@."
+      (Packing.Instance.total_volume inst)
+      (Geometry.Container.volume container);
+    Format.printf "critical path: %d of %d cycles@."
+      (Packing.Instance.critical_path inst)
+      t_max;
+    List.iter
+      (fun (name, v) ->
+        Format.printf "%-14s %a@." name Packing.Bound_engine.pp_verdict v)
+      verdicts;
+    let refuted =
+      List.exists
+        (function _, Packing.Bound_engine.Infeasible _ -> true | _ -> false)
+        verdicts
+    in
+    print_stats stats (fun () ->
+        let open Packing.Telemetry in
+        to_string
+          (Obj
+             [
+               ("problem", String "bounds");
+               ( "verdicts",
+                 Obj
+                   (List.map
+                      (fun (name, v) -> (name, Packing.Bound_engine.verdict_json v))
+                      verdicts) );
+               ("bounds", bounds_to_json (Packing.Bound_engine.counters engine));
+             ]));
+    if refuted then begin
+      Format.printf "verdict: infeasible@.";
+      2
+    end
+    else begin
+      Format.printf "verdict: bounds are silent, a search is needed@.";
+      0
+    end
   in
   let doc = "Evaluate the stage-1 lower bounds without searching." in
-  Cmd.v (Cmd.info "bounds" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt $ stats_opt)
+  Cmd.v (Cmd.info "bounds" ~doc) Term.(const run $ chip_time_input $ stats_opt)
 
 let knapsack_cmd =
-  let run file chip time =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match (resolve_chip io chip, resolve_time io time) with
-      | Error msg, _ | _, Error msg -> err msg
-      | Ok chip, Ok t_max -> (
-        let inst = io.Fpga.Instance_io.instance in
-        let container = Fpga.Chip.container chip ~t_max in
-        (* Value = computation volume: prefer keeping the heavy work. *)
-        let value i = Geometry.Box.volume (Packing.Instance.box inst i) in
-        match Packing.Knapsack.solve inst container ~value with
-        | None ->
-          Format.printf "no non-empty selection fits@.";
-          2
-        | Some { Packing.Knapsack.value; selected; _ } ->
-          Format.printf "best selection (value %d):" value;
-          List.iter
-            (fun i -> Format.printf " %s" (Packing.Instance.label inst i))
-            selected;
-          Format.printf "@.";
-          0))
+  let run input =
+    with_ok input @@ fun (inst, (chip, t_max)) ->
+    (* Value = computation volume: prefer keeping the heavy work. *)
+    let value i = Geometry.Box.volume (Packing.Instance.box inst i) in
+    match Packing.Knapsack.solve inst (Fpga.Chip.container chip ~t_max) ~value with
+    | None ->
+      Format.printf "no non-empty selection fits@.";
+      2
+    | Some { Packing.Knapsack.value; selected; _ } ->
+      Format.printf "best selection (value %d):" value;
+      List.iter (fun i -> Format.printf " %s" (Packing.Instance.label inst i)) selected;
+      Format.printf "@.";
+      0
   in
   let doc =
     "Select the most valuable packable subset of tasks (orthogonal knapsack)."
   in
-  Cmd.v (Cmd.info "knapsack" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt)
+  Cmd.v (Cmd.info "knapsack" ~doc) Term.(const run $ chip_time_input)
 
 let vcd_cmd =
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the VCD here.")
   in
-  let run file chip time out =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match (resolve_chip io chip, resolve_time io time) with
-      | Error msg, _ | _, Error msg -> err msg
-      | Ok chip, Ok t_max -> (
-        let inst = io.Fpga.Instance_io.instance in
-        let container = Fpga.Chip.container chip ~t_max in
-        match Packing.Opp_solver.solve inst container with
-        | Packing.Opp_solver.Feasible p, _ ->
-          let vcd = Fpga.Vcd.of_placement inst p ~chip () in
-          (match out with
-          | None -> print_string vcd
-          | Some path ->
-            let oc = open_out path in
-            output_string oc vcd;
-            close_out oc;
-            Format.printf "wrote %s@." path);
-          0
-        | Packing.Opp_solver.Infeasible, _ ->
-          Format.printf "infeasible: nothing to dump@.";
-          2
-        | Packing.Opp_solver.Timeout, _ ->
-          Format.printf "timeout@.";
-          3))
+  let run input out =
+    with_ok input @@ fun (inst, (chip, t_max)) ->
+    with_witness ~nothing:"dump" inst chip t_max @@ fun p ->
+    let vcd = Fpga.Vcd.of_placement inst p ~chip () in
+    (match out with
+    | None -> print_string vcd
+    | Some path ->
+      let oc = open_out path in
+      output_string oc vcd;
+      close_out oc;
+      Format.printf "wrote %s@." path);
+    0
   in
   let doc = "Solve, then dump the schedule as a VCD waveform." in
-  Cmd.v (Cmd.info "vcd" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt $ out_arg)
+  Cmd.v (Cmd.info "vcd" ~doc) Term.(const run $ chip_time_input $ out_arg)
 
 let ilp_cmd =
   let emit_flag =
     Arg.(value & flag & info [ "emit" ] ~doc:"Print the LP model itself.")
   in
-  let run file chip time emit =
-    match read_instance file with
-    | Error msg -> err msg
-    | Ok io -> (
-      match (resolve_chip io chip, resolve_time io time) with
-      | Error msg, _ | _, Error msg -> err msg
-      | Ok chip, Ok t_max ->
-        let inst = io.Fpga.Instance_io.instance in
-        let container = Fpga.Chip.container chip ~t_max in
-        let size = Baseline.Ilp_model.size_of inst container in
-        Format.printf "grid 0-1 model: %a@." Baseline.Ilp_model.pp_size size;
-        if emit then print_string (Baseline.Ilp_model.to_lp inst container);
-        0)
+  let run input emit =
+    with_ok input @@ fun (inst, (chip, t_max)) ->
+    let container = Fpga.Chip.container chip ~t_max in
+    let size = Baseline.Ilp_model.size_of inst container in
+    Format.printf "grid 0-1 model: %a@." Baseline.Ilp_model.pp_size size;
+    if emit then print_string (Baseline.Ilp_model.to_lp inst container);
+    0
   in
   let doc =
     "Show (or emit) the grid-indexed 0-1 ILP model the paper argues against."
   in
-  Cmd.v (Cmd.info "ilp" ~doc)
-    Term.(const run $ file_arg $ chip_opt $ time_opt $ emit_flag)
+  Cmd.v (Cmd.info "ilp" ~doc) Term.(const run $ chip_time_input $ emit_flag)
 
 let trace_summary_cmd =
   let trace_arg =
@@ -1083,11 +913,8 @@ let serve_cmd =
     | None ->
       let w = Service.Writer.of_channel stdout in
       Service.Server.serve_channel server w stdin;
-      (match stats with
-      | Some `Json ->
-        Service.Writer.line w
-          (Packing.Telemetry.to_string (Service.Server.stats_json server))
-      | None -> ()));
+      print_stats stats (fun () ->
+          Packing.Telemetry.to_string (Service.Server.stats_json server)));
     (match stop_dump with Some stop -> stop () | None -> ());
     0
   in
@@ -1171,33 +998,24 @@ let export_cmd =
                 instance file to parse and re-print (round-trip check: v1 \
                 files re-print byte-identically).")
   in
+  let builtin instance side t_max =
+    Ok
+      {
+        Fpga.Instance_io.instance;
+        chip = Some (Fpga.Chip.square side);
+        t_max = Some t_max;
+        container = None;
+      }
+  in
   let run which =
-    match
-      match which with
-      | "de" ->
-        Ok
-          {
-            Fpga.Instance_io.instance = Benchmarks.De.instance;
-            chip = Some (Fpga.Chip.square 32);
-            t_max = Some 14;
-            container = None;
-          }
-      | "codec" ->
-        Ok
-          {
-            Fpga.Instance_io.instance = Benchmarks.Video_codec.instance;
-            chip = Some (Fpga.Chip.square 64);
-            t_max = Some 59;
-            container = None;
-          }
-      | file -> read_instance file
-    with
-    | Ok io ->
-      print_string (Fpga.Instance_io.print io);
-      0
-    | Error m ->
-      Printf.eprintf "error: %s\n" m;
-      1
+    with_ok
+      (match which with
+      | "de" -> builtin Benchmarks.De.instance 32 14
+      | "codec" -> builtin Benchmarks.Video_codec.instance 64 59
+      | file -> read_instance file)
+    @@ fun io ->
+    print_string (Fpga.Instance_io.print io);
+    0
   in
   let doc = "Print a built-in benchmark or an instance file." in
   Cmd.v (Cmd.info "export" ~doc) Term.(const run $ which)
@@ -1210,13 +1028,17 @@ let online_cmd =
                    --stagger). Omit it and pass --generate N for a \
                    synthetic arrival stream.")
   in
+  let policies =
+    [
+      ("corner", Fpga.Online.Corner);
+      ("first", Fpga.Online.First_fit);
+      ("best", Fpga.Online.Best_fit);
+      ("worst", Fpga.Online.Worst_fit);
+    ]
+  in
   let policy_opt =
     Arg.(value
-         & opt (enum [ ("corner", Fpga.Online.Corner);
-                       ("first", Fpga.Online.First_fit);
-                       ("best", Fpga.Online.Best_fit);
-                       ("worst", Fpga.Online.Worst_fit) ])
-             Fpga.Online.Best_fit
+         & opt (enum policies) Fpga.Online.Best_fit
          & info [ "policy" ] ~docv:"POLICY"
              ~doc:"Fit policy: corner (the historical corner-candidate \
                    scan) or first/best/worst fit over the \
@@ -1238,20 +1060,19 @@ let online_cmd =
                    compaction, on top of the --reconfig-model load time.")
   in
   let reconfig_conv =
+    let models =
+      [
+        ("constant", fun n -> Fpga.Reconfig.Constant n);
+        ("column", fun n -> Fpga.Reconfig.Per_column n);
+        ("cell", fun n -> Fpga.Reconfig.Per_cell n);
+      ]
+    in
     let parse s =
       match String.split_on_char ':' (String.lowercase_ascii s) with
-      | [ "constant"; n ] -> (
+      | [ kind; n ] when List.mem_assoc kind models -> (
         match int_of_string_opt n with
-        | Some n when n >= 0 -> Ok (Fpga.Reconfig.Constant n)
-        | _ -> Error (`Msg "expected constant:N with N >= 0"))
-      | [ "column"; n ] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 -> Ok (Fpga.Reconfig.Per_column n)
-        | _ -> Error (`Msg "expected column:N with N >= 0"))
-      | [ "cell"; n ] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 -> Ok (Fpga.Reconfig.Per_cell n)
-        | _ -> Error (`Msg "expected cell:N with N >= 0"))
+        | Some n when n >= 0 -> Ok (List.assoc kind models n)
+        | _ -> Error (`Msg (Printf.sprintf "expected %s:N with N >= 0" kind)))
       | _ -> Error (`Msg "expected constant:N, column:N or cell:N")
     in
     let print fmt m = Format.fprintf fmt "%a" Fpga.Reconfig.pp m in
@@ -1303,45 +1124,23 @@ let online_cmd =
   in
   let run file chip policy compaction move_delay reconfig generate seed load
       max_extent max_duration arc_probability stagger stats trace_file quiet =
-    let trace =
-      match trace_file with
-      | None -> Packing.Trace.null
-      | Some _ -> Packing.Trace.create ()
-    in
-    let write_trace () =
-      match trace_file with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        if Filename.check_suffix path ".json" then
-          Packing.Trace.write_chrome trace oc
-        else Packing.Trace.write_jsonl trace oc;
-        close_out oc;
-        Format.eprintf "wrote %s@." path
-    in
+    let trace, write_trace = trace_recorder trace_file in
     let result =
       match (file, generate) with
       | None, None -> Error "pass an instance FILE or --generate N"
-      | Some f, _ -> (
-        match read_instance f with
-        | Error msg -> Error msg
-        | Ok io -> (
-          match resolve_chip io chip with
-          | Error msg -> Error msg
-          | Ok chip ->
-            let inst = io.Fpga.Instance_io.instance in
+      | Some f, _ ->
+        Result.map
+          (fun (inst, chip) ->
             let arrivals =
               List.init (Packing.Instance.count inst) (fun i ->
                   { Fpga.Online.task = i; arrival_time = i * stagger })
             in
-            Ok
-              ( chip,
-                Fpga.Online.run ~policy ~reconfig ~trace inst arrivals ~chip
-                  ~compaction ~move_delay )))
+            ( chip,
+              Fpga.Online.run ~policy ~reconfig ~trace inst arrivals ~chip
+                ~compaction ~move_delay ))
+          (read_input (fun io -> resolve_chip io chip) f)
       | None, Some n ->
-        let chip =
-          match chip with Some c -> c | None -> Fpga.Chip.square 32
-        in
+        let chip = Option.value chip ~default:(Fpga.Chip.square 32) in
         let tasks =
           Benchmarks.Generate.arrival_stream ~seed ~n ~chip ~load ~max_extent
             ~max_duration ~arc_probability ()
@@ -1351,66 +1150,38 @@ let online_cmd =
             Fpga.Online.run_stream ~policy ~reconfig ~trace tasks ~chip
               ~compaction ~move_delay )
     in
-    match result with
-    | Error msg -> err msg
-    | Ok (chip, r) ->
-      let {
-        Fpga.Online.placed;
-        rejected;
-        never_arrived;
-        deferrals;
-        compactions;
-        moved_tasks;
-        move_cycles;
-        makespan;
-        utilization;
-        latency;
-        events = _;
-        placement = _;
-      } =
-        r
-      in
-      if not quiet then begin
-        Format.printf "placed %d, rejected %d, never arrived %d (of %d tasks)@."
-          placed rejected never_arrived
-          (placed + rejected + never_arrived);
-        Format.printf "makespan %d, utilization %.1f%%, deferrals %d@." makespan
-          (100.0 *. utilization) deferrals;
-        Format.printf "compactions %d (moved %d modules, %d cycles charged)@."
-          compactions moved_tasks move_cycles;
-        Format.printf
-          "placement latency: p50 %.1f us, p99 %.1f us, max %.1f us (%d \
-           samples)@."
-          latency.Fpga.Online.p50_us latency.Fpga.Online.p99_us
-          latency.Fpga.Online.max_us latency.Fpga.Online.samples
-      end;
-      (match stats with
-      | Some `Json ->
+    with_ok result @@ fun (chip, r) ->
+    let { Fpga.Online.placed; rejected; never_arrived; latency = l; _ } = r in
+    if not quiet then begin
+      Format.printf "placed %d, rejected %d, never arrived %d (of %d tasks)@."
+        placed rejected never_arrived
+        (placed + rejected + never_arrived);
+      Format.printf "makespan %d, utilization %.1f%%, deferrals %d@." r.makespan
+        (100.0 *. r.utilization) r.deferrals;
+      Format.printf "compactions %d (moved %d modules, %d cycles charged)@."
+        r.compactions r.moved_tasks r.move_cycles;
+      Format.printf
+        "placement latency: p50 %.1f us, p99 %.1f us, max %.1f us (%d \
+         samples)@."
+        l.p50_us l.p99_us l.max_us l.samples
+    end;
+    print_stats stats (fun () ->
         let open Packing.Telemetry in
-        let policy_name =
-          match policy with
-          | Fpga.Online.Corner -> "corner"
-          | Fpga.Online.First_fit -> "first"
-          | Fpga.Online.Best_fit -> "best"
-          | Fpga.Online.Worst_fit -> "worst"
-        in
-        Format.printf "%s@."
-          (to_string
-             (Obj
-                [
-                  ("problem", String "online");
-                  ("policy", String policy_name);
-                  ( "chip",
-                    String
-                      (Printf.sprintf "%dx%d" (Fpga.Chip.width chip)
-                         (Fpga.Chip.height chip)) );
-                  ("compaction", Bool compaction);
-                  ("move_delay", Int move_delay);
-                  ("online", online_to_json (Fpga.Online.counters r));
-                ]))
-      | Some `Text | None -> ());
-      write_trace ();
-      if rejected = 0 && never_arrived = 0 then 0 else 2
+        to_string
+          (Obj
+             [
+               ("problem", String "online");
+               ("policy", String (fst (List.find (fun (_, p) -> p = policy) policies)));
+               ( "chip",
+                 String
+                   (Printf.sprintf "%dx%d" (Fpga.Chip.width chip)
+                      (Fpga.Chip.height chip)) );
+               ("compaction", Bool compaction);
+               ("move_delay", Int move_delay);
+               ("online", online_to_json (Fpga.Online.counters r));
+             ]));
+    write_trace ();
+    if rejected = 0 && never_arrived = 0 then 0 else 2
   in
   let doc =
     "Run the online placement manager over an arrival stream (from an \

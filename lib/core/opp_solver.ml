@@ -28,15 +28,6 @@ type stats = {
   bounds : Telemetry.bound_counters;
 }
 
-type realize_policy =
-  | Realize_always
-  | Realize_never
-  | Realize_adaptive of {
-      min_decided_fraction : float;
-      min_trail_delta : int;
-      backoff_limit : int;
-    }
-
 type options = {
   rules : Packing_state.rules;
   use_bounds : bool;
@@ -44,17 +35,10 @@ type options = {
   node_limit : int option;
   deadline : float option;
   interrupt : (unit -> bool) option;
-  on_progress : (stats -> unit) option;
   progress_interval_s : float;
   on_heartbeat : (Telemetry.progress -> unit) option;
   trace : Trace.t;
-  component_first : bool;
-  realize : realize_policy;
 }
-
-let default_realize =
-  Realize_adaptive
-    { min_decided_fraction = 0.4; min_trail_delta = 8; backoff_limit = 64 }
 
 let default_options =
   {
@@ -64,12 +48,9 @@ let default_options =
     node_limit = None;
     deadline = None;
     interrupt = None;
-    on_progress = None;
     progress_interval_s = 1.0;
     on_heartbeat = None;
     trace = Trace.null;
-    component_first = true;
-    realize = default_realize;
   }
 
 let empty_stats =
@@ -94,6 +75,15 @@ exception Stopped
    the progress callbacks fire on wall-clock time measured at these
    polls, not on node counts. *)
 let poll_mask = 31
+
+(* Throttle for the opportunistic realization attempt at interior
+   nodes: attempt only once this fraction of (pair, dimension) slots is
+   decided, only after the propagation trail moved this far since the
+   last attempt, and after consecutive failures wait a doubling number
+   of nodes, capped at [backoff_limit]. *)
+let min_decided_fraction = 0.4
+let min_trail_delta = 8
+let backoff_limit = 64
 
 (* The stage-3 search from an already-initialized state. Counters are
    threaded through references so [solve] and [solve_state] share the
@@ -153,37 +143,28 @@ let search ~options ~t0 ~depth_offset ?(bounds = []) ?share state =
      rate is independent of node throughput. The clock is only read
      when some consumer needs it. *)
   let wants_progress =
-    Option.is_some options.on_progress
-    || Option.is_some options.on_heartbeat
-    || Trace.enabled options.trace
+    Option.is_some options.on_heartbeat || Trace.enabled options.trace
   in
   let wants_clock = wants_progress || Option.is_some options.deadline in
   let next_progress = ref (t0 +. options.progress_interval_s) in
   let heartbeat now =
     next_progress := now +. options.progress_interval_s;
-    (match options.on_progress with
-    | Some f -> f (snapshot ())
-    | None -> ());
-    if
-      Option.is_some options.on_heartbeat || Trace.enabled options.trace
-    then begin
-      let elapsed = now -. t0 in
-      let p =
-        {
-          Telemetry.elapsed_s = elapsed;
-          nodes = !nodes;
-          nodes_per_s =
-            (if elapsed > 0.0 then float_of_int !nodes /. elapsed else 0.0);
-          max_depth = !max_depth;
-          decided_fraction = Packing_state.decided_fraction state;
-          trail_length = Packing_state.total_trail state;
-          bracket = None;
-          gap = None;
-        }
-      in
-      (match options.on_heartbeat with Some f -> f p | None -> ());
-      Trace.progress options.trace p
-    end
+    let elapsed = now -. t0 in
+    let p =
+      {
+        Telemetry.elapsed_s = elapsed;
+        nodes = !nodes;
+        nodes_per_s =
+          (if elapsed > 0.0 then float_of_int !nodes /. elapsed else 0.0);
+        max_depth = !max_depth;
+        decided_fraction = Packing_state.decided_fraction state;
+        trail_length = Packing_state.total_trail state;
+        bracket = None;
+        gap = None;
+      }
+    in
+    (match options.on_heartbeat with Some f -> f p | None -> ());
+    Trace.progress options.trace p
   in
   let check_budget () =
     (match options.node_limit with
@@ -203,16 +184,11 @@ let search ~options ~t0 ~depth_offset ?(bounds = []) ?share state =
     end
   in
   let should_attempt () =
-    match options.realize with
-    | Realize_always -> true
-    | Realize_never -> false
-    | Realize_adaptive { min_decided_fraction; min_trail_delta; backoff_limit }
-      ->
-      Packing_state.decided_fraction state >= min_decided_fraction
-      && abs (Packing_state.total_trail state - !last_attempt_trail)
-         >= min_trail_delta
-      && !nodes - !last_attempt_node
-         >= min backoff_limit (1 lsl min !consec_failures 20)
+    Packing_state.decided_fraction state >= min_decided_fraction
+    && abs (Packing_state.total_trail state - !last_attempt_trail)
+       >= min_trail_delta
+    && !nodes - !last_attempt_node
+       >= min backoff_limit (1 lsl min !consec_failures 20)
   in
   let trace = options.trace in
   let rec dfs depth =
@@ -227,12 +203,11 @@ let search ~options ~t0 ~depth_offset ?(bounds = []) ?share state =
     (* Early realization: if the decided part of the class already
        forces a feasible layout, stop — the validator guarantees
        soundness, undecided pairs merely lose their "must overlap"
-       freedom. The attempt is budget-limited and, under the adaptive
-       policy, only fires when enough has been decided (or changed
-       since the last try) to give it a real chance; consecutive
-       failures back it off exponentially. The exact check at true
-       leaves below is never throttled, so every policy — including
-       [Realize_never] — returns the same verdict. *)
+       freedom. The attempt is budget-limited and throttled: it only
+       fires when enough has been decided (or changed since the last
+       try) to give it a real chance, and consecutive failures back it
+       off exponentially. The exact check at true leaves below is never
+       throttled, so the throttle changes speed, not the verdict. *)
     if should_attempt () then begin
       incr realize_attempts;
       last_attempt_node := !nodes;
@@ -272,11 +247,11 @@ let search ~options ~t0 ~depth_offset ?(bounds = []) ?share state =
         | Error _ -> incr conflicts);
         Packing_state.undo_to state marks
       in
-      let first = options.component_first in
+      (* Branch order: overlap (component) first, then comparable. *)
       (match share with
       | None ->
-        branch first;
-        branch (not first)
+        branch true;
+        branch false
       | Some s ->
         (* Work-stealing protocol at a branch point: before descending
            the first branch, offer the second one to the local deque (it
@@ -287,18 +262,18 @@ let search ~options ~t0 ~depth_offset ?(bounds = []) ?share state =
            the sequential DFS order. A failed reclaim means a thief owns
            that subtree and this node is done. *)
         let d_local = depth - depth_offset - 1 in
-        let second = { dim; u; v; overlap = not first } in
+        let second = { dim; u; v; overlap = false } in
         let token = s.offer ~path:!path ~len:d_local ~alt:second in
-        set_path d_local { dim; u; v; overlap = first };
-        branch first;
+        set_path d_local { dim; u; v; overlap = true };
+        branch true;
         (match token with
         | None ->
           set_path d_local second;
-          branch (not first)
+          branch false
         | Some tok ->
           if s.reclaim tok then begin
             set_path d_local second;
-            branch (not first)
+            branch false
           end))
   in
   try

@@ -76,31 +76,6 @@ type stats = {
           search runs no bounds. *)
 }
 
-(** When the search runs the opportunistic budget-limited realization
-    attempt ({!Reconstruct.attempt}) at an interior node. The exact
-    leaf check is never throttled, so every policy returns the same
-    verdict; the policy only trades early-exit chances on feasible
-    instances against per-node overhead. *)
-type realize_policy =
-  | Realize_always  (** attempt at every node (the historical behavior) *)
-  | Realize_never  (** interior attempts off; leaf checks only *)
-  | Realize_adaptive of {
-      min_decided_fraction : float;
-          (** attempt only once this fraction of (pair, dimension)
-              slots is decided — early, sparse states almost never
-              realize *)
-      min_trail_delta : int;
-          (** and only after the propagation trail moved at least this
-              far (in either direction) since the last attempt — an
-              unchanged state cannot realize any better than it just
-              failed to *)
-      backoff_limit : int;
-          (** consecutive failures double a node-count cooldown between
-              attempts, capped at this many nodes *)
-    }
-
-val default_realize : realize_policy
-
 type options = {
   rules : Packing_state.rules; (** propagation toggles (ablations) *)
   use_bounds : bool; (** stage 1 *)
@@ -122,35 +97,24 @@ type options = {
           deadline; returning [true] aborts the search with [Timeout].
           Used by {!Parallel_solver} to stop sibling workers once a
           definitive answer is known. *)
-  on_progress : (stats -> unit) option;
-      (** Periodic telemetry callback with a snapshot of the running
-          counters. Fires on a wall-clock cadence of
+  progress_interval_s : float;
+      (** wall-clock seconds between [on_heartbeat] firings (default
+          1.0). Values [<= 0.0] fire at every poll tick — useful in
+          tests, pathological in production. *)
+  on_heartbeat : (Telemetry.progress -> unit) option;
+      (** Periodic progress callback with a {!Telemetry.progress}
+          snapshot (nodes, nodes/s, max depth, decided fraction, trail
+          length). Fires on a wall-clock cadence of
           [progress_interval_s] seconds, checked at the node-poll
           granularity (every ~32 nodes), so the reporting rate does not
-          depend on node throughput. The snapshot is cumulative for
-          this search (counters are monotone between calls) and must
-          not be mutated or retained past the callback; the search
-          blocks while it runs, so keep it cheap. Called from the
-          solving thread; in a parallel solve it may be invoked
+          depend on node throughput. The search blocks while it runs,
+          so keep it cheap. In a parallel solve it may be invoked
           concurrently from several domains, each reporting its own
-          worker-local counters. *)
-  progress_interval_s : float;
-      (** wall-clock seconds between [on_progress]/[on_heartbeat]
-          firings (default 1.0). Values [<= 0.0] fire at every poll
-          tick — useful in tests, pathological in production. *)
-  on_heartbeat : (Telemetry.progress -> unit) option;
-      (** like [on_progress] but with a {!Telemetry.progress} snapshot
-          (nodes/s, max depth, decided fraction, trail length) instead
-          of raw counters; fires on the same wall-clock cadence. The
-          optimization drivers ({!Problems}) wrap this to inject the
-          current bracket and gap. *)
+          worker-local counters. The optimization drivers ({!Problems})
+          wrap it to inject the current bracket and gap. *)
   trace : Trace.t;
       (** structured event recorder threaded through the search, the
           bound engines, and propagation ({!Trace.null} = off) *)
-  component_first : bool; (** branch order at each decision *)
-  realize : realize_policy;
-      (** throttle for the per-node realization attempt; defaults to
-          {!default_realize} (adaptive) *)
 }
 
 val default_options : options

@@ -8,7 +8,9 @@ let hi t = t.lo + t.len
 let overlaps a b = a.lo < hi b && b.lo < hi a
 let disjoint a b = not (overlaps a b)
 let contains a x = a.lo <= x && x < hi a
-let within a ~bound = a.lo >= 0 && hi a <= bound
+(* [lo <= bound - len] rather than [hi a <= bound]: [lo + len] can wrap
+   past [max_int] and pass the check. *)
+let within a ~bound = a.lo >= 0 && a.lo <= bound - a.len
 let precedes a b = hi a <= b.lo
 
 let intersection a b =

@@ -22,7 +22,9 @@ val disjoint : t -> t -> bool
 (** [contains a x] is [true] iff [lo <= x < hi]. *)
 val contains : t -> int -> bool
 
-(** [within a ~bound] is [true] iff [0 <= lo] and [hi <= bound]. *)
+(** [within a ~bound] is [true] iff [0 <= lo] and [lo + len <= bound],
+    decided without overflow: an interval whose end lies past [max_int]
+    is never within. *)
 val within : t -> bound:int -> bool
 
 (** [precedes a b] is [true] iff [a] ends no later than [b] starts. *)

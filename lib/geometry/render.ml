@@ -41,15 +41,24 @@ let timeline p ~container =
     (change_points p);
   Buffer.contents buf
 
+let gantt_columns = 128
+
 let gantt p =
   let n = Placement.count p in
   let span = Placement.makespan p in
+  (* Cycles per column: one while the makespan fits the width, else the
+     fewest that make it fit. *)
+  let bucket = if span <= gantt_columns then 1 else ((span - 1) / gantt_columns) + 1 in
+  let columns = if span <= 0 then 0 else ((span - 1) / bucket) + 1 in
   let buf = Buffer.create 256 in
   for i = 0 to n - 1 do
     let s = Placement.start_time p i and f = Placement.finish_time p i in
     Buffer.add_string buf (Printf.sprintf "%3d |" i);
-    for t = 0 to span - 1 do
-      Buffer.add_char buf (if t >= s && t < f then symbol i else ' ')
+    for c = 0 to columns - 1 do
+      (* Column [c] covers cycles [t, t + bucket); [s - bucket < t] is
+         [s < t + bucket] without forming the possibly wrapping sum. *)
+      let t = c * bucket in
+      Buffer.add_char buf (if s - bucket < t && t < f then symbol i else ' ')
     done;
     Buffer.add_string buf (Printf.sprintf "| [%d,%d)\n" s f)
   done;

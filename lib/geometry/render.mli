@@ -13,5 +13,8 @@ val slice : Placement.t -> container:Container.t -> time:int -> string list
 val timeline : Placement.t -> container:Container.t -> string
 
 (** [gantt p] renders a one-line-per-box time chart, ignoring spatial
-    coordinates. *)
+    coordinates. The chart has one column per cycle while the makespan
+    is at most 128 cycles; past that, each column covers the same
+    number of cycles (the fewest that keep the chart within 128
+    columns) and a box marks every column its time interval meets. *)
 val gantt : Placement.t -> string

@@ -280,6 +280,17 @@ let test_wrapped_volume_floor () =
     Alcotest.(check (pair int int)) "rectangle" (side, side) (w, h)
   | _ -> Alcotest.fail "expected a proven rectangular optimum"
 
+(* Two full-chip 2^61-cycle tasks in 3 * 2^60 cycles need 2^62 cycles
+   one after the other. Stage 2's witness ended the second task at
+   2^61 + 2^61, which wraps to -2^62 and passed the placement check, so
+   [solve] answered feasible; the search alone answered infeasible. *)
+let test_wrapped_witness_refuted () =
+  let len = 1 lsl 61 in
+  let i = inst [ box3 10 10 len; box3 10 10 len ] in
+  match Solver.solve i (cont3 10 10 (3 * (1 lsl 60))) with
+  | Solver.Infeasible, _ -> ()
+  | o, _ -> Alcotest.failf "wrapped witness: %a" Solver.pp_outcome o
+
 let () =
   Alcotest.run "bounds engine"
     [
@@ -315,5 +326,7 @@ let () =
             test_huge_container_no_overflow;
           Alcotest.test_case "wrapped volume floor" `Quick
             test_wrapped_volume_floor;
+          Alcotest.test_case "wrapped witness is refuted" `Quick
+            test_wrapped_witness_refuted;
         ] );
     ]

@@ -5,10 +5,7 @@
      historical from-scratch scan picked, across arbitrary assign/undo
      sequences;
    - the derived decided-slot count must track the edge-state stores;
-   - every realization-throttle policy must return the same verdict
-     (the exact leaf check is never throttled);
-   - realization-attempt telemetry must decrease monotonically as the
-     policy gets stricter. *)
+   - the stats surfaces must carry the per-rule counters. *)
 
 module OG = Order.Oriented_graph
 module Container = Geometry.Container
@@ -186,134 +183,6 @@ let prop_choose_unknown_matches_reference
     true
 
 (* ------------------------------------------------------------------ *)
-(* Realization throttle                                                *)
-(* ------------------------------------------------------------------ *)
-
-let arb_small_case =
-  let gen =
-    QCheck.Gen.(
-      let* seed = int_range 0 1_000_000 in
-      let* n = int_range 2 5 in
-      let* max_extent = int_range 1 3 in
-      let* max_duration = int_range 1 3 in
-      let* arc_probability = oneofl [ 0.0; 0.25; 0.5 ] in
-      let* cw = int_range 3 6 and* ch = int_range 3 6 and* ct = int_range 3 7 in
-      return (seed, n, max_extent, max_duration, arc_probability, (cw, ch, ct)))
-  in
-  QCheck.make gen
-    ~print:(fun (seed, n, me, md, ap, (cw, ch, ct)) ->
-      Printf.sprintf "seed=%d n=%d max_extent=%d max_duration=%d arcs=%.2f \
-                      cont=%dx%dx%d"
-        seed n me md ap cw ch ct)
-
-let small_case (seed, n, max_extent, max_duration, arc_probability, (cw, ch, ct))
-    =
-  ( Benchmarks.Generate.random ~seed ~n ~max_extent ~max_duration
-      ~arc_probability (),
-    Container.make3 ~w:cw ~h:ch ~t_max:ct )
-
-let solve_with realize inst cont =
-  let options =
-    {
-      Solver.default_options with
-      use_bounds = false;
-      use_heuristic = false;
-      node_limit = Some 2_000_000;
-      realize;
-    }
-  in
-  Solver.solve ~options inst cont
-
-(* Attempt counting is history-dependent in general (the backoff
-   cooldown interacts with what was skipped earlier), so the
-   monotonicity chain uses history-free adaptive policies: no trail
-   threshold, no cooldown — eligibility is the decided fraction alone,
-   pointwise monotone in the threshold. *)
-let fraction_only f =
-  Solver.Realize_adaptive
-    { min_decided_fraction = f; min_trail_delta = 0; backoff_limit = 1 }
-
-let strictness_chain =
-  [
-    ("always", Solver.Realize_always);
-    ("adaptive 0.0", fraction_only 0.0);
-    ("adaptive 0.5", fraction_only 0.5);
-    ("adaptive 0.9", fraction_only 0.9);
-    ("never", Solver.Realize_never);
-  ]
-
-let verdict_name = function
-  | Solver.Feasible _ -> "feasible"
-  | Solver.Infeasible -> "infeasible"
-  | Solver.Timeout -> "timeout"
-
-let prop_policies_preserve_verdicts case =
-  let inst, cont = small_case case in
-  let reference, _ = solve_with Solver.default_realize inst cont in
-  List.for_all
-    (fun (name, policy) ->
-      let outcome, _ = solve_with policy inst cont in
-      match (reference, outcome) with
-      | Solver.Feasible _, Solver.Feasible _
-      | Solver.Infeasible, Solver.Infeasible ->
-        true
-      | _ ->
-        QCheck.Test.fail_reportf "policy %s: %s but default says %s" name
-          (verdict_name outcome) (verdict_name reference))
-    strictness_chain
-
-let prop_attempts_monotone_in_strictness case =
-  let inst, cont = small_case case in
-  (* On infeasible instances the node sequence is policy-independent
-     (failed and skipped attempts both leave the state untouched), so
-     attempt counts are comparable across policies. Feasible instances
-     exit early at policy-dependent points; skip them. *)
-  match solve_with Solver.Realize_always inst cont with
-  | Solver.Feasible _, _ | Solver.Timeout, _ -> true
-  | Solver.Infeasible, always_stats ->
-    let runs =
-      List.map
-        (fun (name, policy) ->
-          match solve_with policy inst cont with
-          | Solver.Infeasible, s -> (name, s)
-          | outcome, _ ->
-            QCheck.Test.fail_reportf "policy %s flipped verdict to %s" name
-              (verdict_name outcome))
-        (List.tl strictness_chain)
-    in
-    let runs = ("always", always_stats) :: runs in
-    let attempts (_, (s : Solver.stats)) =
-      s.rules.Packing.Telemetry.realize_attempts
-    in
-    (* Exact endpoints: "always" tries at every interior visit plus the
-       exact check at each leaf; "never" only runs the leaf checks. *)
-    let _, always = List.hd runs in
-    let _, never = List.hd (List.rev runs) in
-    if
-      always.Solver.rules.Packing.Telemetry.realize_attempts
-      <> always.Solver.nodes + always.Solver.leaves
-    then
-      QCheck.Test.fail_reportf "always: %d attempts at %d nodes + %d leaves"
-        always.Solver.rules.Packing.Telemetry.realize_attempts
-        always.Solver.nodes always.Solver.leaves;
-    if never.Solver.rules.Packing.Telemetry.realize_attempts <> never.Solver.leaves
-    then
-      QCheck.Test.fail_reportf "never: %d attempts at %d leaves"
-        never.Solver.rules.Packing.Telemetry.realize_attempts
-        never.Solver.leaves;
-    let rec monotone = function
-      | (na, _) :: ((nb, _) :: _ as rest) ->
-        let a = attempts (na, List.assoc na runs)
-        and b = attempts (nb, List.assoc nb runs) in
-        if a < b then
-          QCheck.Test.fail_reportf
-            "attempts grew under stricter policy: %s=%d < %s=%d" na a nb b
-        else monotone rest
-      | _ -> true
-    in
-    monotone runs
-
-(* ------------------------------------------------------------------ *)
 (* Stats surfaces carry the rule counters                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -358,13 +227,6 @@ let () =
         [
           qtest ~count:150 "incremental choose_unknown = from-scratch reference"
             arb_walk prop_choose_unknown_matches_reference;
-        ] );
-      ( "throttle",
-        [
-          qtest ~count:70 "every policy preserves the verdict" arb_small_case
-            prop_policies_preserve_verdicts;
-          qtest ~count:70 "attempts decrease with stricter policies"
-            arb_small_case prop_attempts_monotone_in_strictness;
         ] );
       ( "telemetry",
         [

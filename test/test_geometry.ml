@@ -38,6 +38,24 @@ let test_interval_within () =
   Alcotest.(check bool) "spills" false (I.within (I.make ~lo:1 ~len:5) ~bound:5);
   Alcotest.(check bool) "negative" false (I.within (I.make ~lo:(-1) ~len:2) ~bound:5)
 
+(* An interval ending past max_int: [lo + len] wraps negative and used
+   to pass [hi <= bound], so a placement running past the time budget
+   validated. *)
+let test_within_past_max_int () =
+  let len = 1 lsl 61 in
+  Alcotest.(check bool) "wrapped end is not within" false
+    (I.within (I.make ~lo:len ~len:(max_int - len + 2)) ~bound:10);
+  Alcotest.(check bool) "2^61 + 2^61 > 3 * 2^60" false
+    (I.within (I.make ~lo:len ~len) ~bound:(3 * (1 lsl 60)));
+  let p =
+    P.make
+      [| Box.make3 ~w:10 ~h:10 ~duration:len; Box.make3 ~w:10 ~h:10 ~duration:len |]
+      [| [| 0; 0; 0 |]; [| 0; 0; len |] |]
+  in
+  let container = Container.make3 ~w:10 ~h:10 ~t_max:(3 * (1 lsl 60)) in
+  Alcotest.(check bool) "second task out of bounds" true
+    (List.mem (P.Out_of_bounds 1) (P.check p ~container ~precedes:(fun _ _ -> false)))
+
 let arb_interval =
   QCheck.map
     (fun (lo, len) -> I.make ~lo ~len:(1 + abs len mod 10))
@@ -170,11 +188,28 @@ let test_render_slice () =
 
 let test_render_gantt () =
   let p = P.make two_boxes [| [| 0; 0; 0 |]; [| 0; 0; 2 |] |] in
-  let g = Render.gantt p in
-  Alcotest.(check bool) "mentions both boxes" true
-    (String.length g > 0
-    && String.contains g 'A'
-    && String.contains g 'B')
+  Alcotest.(check string) "one column per cycle"
+    "  0 |AA  | [0,2)\n  1 |  BB| [2,4)\n" (Render.gantt p)
+
+(* Past 128 cycles of makespan, columns bucket cycles: 200 cycles make
+   100 two-cycle columns, and a 2^61-cycle chart stays 128 wide instead
+   of writing one character per cycle. *)
+let test_render_gantt_bounded () =
+  let halves =
+    P.make
+      [| Box.make3 ~w:1 ~h:1 ~duration:100; Box.make3 ~w:1 ~h:1 ~duration:100 |]
+      [| [| 0; 0; 0 |]; [| 0; 0; 100 |] |]
+  in
+  Alcotest.(check string) "two cycles per column"
+    (Printf.sprintf "  0 |%s%s| [0,100)\n  1 |%s%s| [100,200)\n"
+       (String.make 50 'A') (String.make 50 ' ') (String.make 50 ' ')
+       (String.make 50 'B'))
+    (Render.gantt halves);
+  let len = 1 lsl 61 in
+  let huge = P.make [| Box.make3 ~w:10 ~h:10 ~duration:len |] [| [| 0; 0; 0 |] |] in
+  Alcotest.(check string) "2^61 cycles in 128 columns"
+    (Printf.sprintf "  0 |%s| [0,%d)\n" (String.make 128 'A') len)
+    (Render.gantt huge)
 
 (* Random feasible-by-construction shelf placements stay feasible. *)
 let arb_shelf =
@@ -259,6 +294,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_interval_basics;
           Alcotest.test_case "overlap" `Quick test_interval_overlap;
           Alcotest.test_case "within" `Quick test_interval_within;
+          Alcotest.test_case "within past max_int" `Quick test_within_past_max_int;
           qtest "overlap symmetric" QCheck.(pair arb_interval arb_interval)
             prop_overlap_symmetric;
           qtest "overlap iff common point" QCheck.(pair arb_interval arb_interval)
@@ -291,5 +327,6 @@ let () =
         [
           Alcotest.test_case "slice" `Quick test_render_slice;
           Alcotest.test_case "gantt" `Quick test_render_gantt;
+          Alcotest.test_case "gantt width bounded" `Quick test_render_gantt_bounded;
         ] );
     ]
