@@ -176,9 +176,10 @@ let show_placement ~quiet ~render inst chip t_max placement =
     done;
     Format.printf "%s@." (Geometry.Render.gantt placement);
     if render then
-      Format.printf "%s@."
-        (Geometry.Render.timeline placement
-           ~container:(Fpga.Chip.container chip ~t_max))
+      let container = Fpga.Chip.container chip ~t_max in
+      match Geometry.Render.timeline placement ~container with
+      | text -> Format.printf "%s@." text
+      | exception Invalid_argument msg -> exit (err msg)
   end
 
 let svg_opt =

@@ -308,6 +308,10 @@ let cache_to_json c =
       ("capacity", Int c.cache_capacity);
     ]
 
+(* A float with [digits] decimals; null when it is not finite. *)
+let fixed digits v =
+  if Float.is_finite v then Raw (Printf.sprintf "%.*f" digits v) else Null
+
 let online_to_json (o : online_counters) =
   Obj
     [
@@ -320,11 +324,11 @@ let online_to_json (o : online_counters) =
       ("moved_tasks", Int o.moved_tasks);
       ("move_cycles", Int o.move_cycles);
       ("makespan", Int o.makespan);
-      ("utilization", Raw (Printf.sprintf "%.4f" o.utilization));
+      ("utilization", fixed 4 o.utilization);
       ("latency_samples", Int o.latency_samples);
-      ("latency_p50_us", Raw (Printf.sprintf "%.2f" o.latency_p50_us));
-      ("latency_p99_us", Raw (Printf.sprintf "%.2f" o.latency_p99_us));
-      ("latency_max_us", Raw (Printf.sprintf "%.2f" o.latency_max_us));
+      ("latency_p50_us", fixed 2 o.latency_p50_us);
+      ("latency_p99_us", fixed 2 o.latency_p99_us);
+      ("latency_max_us", fixed 2 o.latency_max_us);
     ]
 
 let progress_to_json p =

@@ -7,9 +7,14 @@
     splits every intersecting MER into at most four residual rectangles
     and prunes the non-maximal ones; retiring a module recomputes
     exactly the maximal rectangles that intersect the freed footprint
-    and merges them with the surviving set. A placement query is a
-    single scan of the MER list — no per-candidate overlap tests against
-    the running set, unlike the corner heuristic it replaces.
+    and merges them with the surviving set. The recomputation sweeps
+    the strips between the live modules' vertical edges over the bands
+    their horizontal edges cut, and stops a strip's left edge once the
+    freed rows are covered: O(n^3) at worst for n live modules, a few
+    dozen strip steps in practice, and never a cost in the chip's area.
+    A placement query is a single scan of the MER list — no
+    per-candidate overlap tests against the running set, unlike the
+    corner heuristic it replaces.
 
     The manager is deterministic: the MER list is kept sorted, and fit
     selection breaks ties by bottom-left (y, then x) position. *)

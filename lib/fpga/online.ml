@@ -546,19 +546,22 @@ let run_stream ?(policy = Corner) ?(reconfig = Reconfig.Constant 0)
     end
   done;
   let placed = ref 0 and rejected = ref 0 and never = ref 0 in
-  let makespan = ref 0 and busy = ref 0 in
+  (* Cell-cycles in float: their int products wrap on long schedules. *)
+  let makespan = ref 0 and busy = ref 0.0 in
   for i = 0 to n - 1 do
     match status.(i) with
     | `Done ->
       incr placed;
       makespan := max !makespan finish_.(i);
-      busy := !busy + (area i * (finish_.(i) - start_.(i)))
+      busy :=
+        !busy +. (float_of_int (area i) *. float_of_int (finish_.(i) - start_.(i)))
     | `Rejected -> incr rejected
     | `Pending -> incr never
   done;
   let utilization =
     if first_time < max_int && !makespan > first_time then
-      float_of_int !busy /. float_of_int (cw * ch * (!makespan - first_time))
+      !busy
+      /. (float_of_int cw *. float_of_int ch *. float_of_int (!makespan - first_time))
     else 0.0
   in
   let lat_arr = Array.of_list !lat in

@@ -44,31 +44,41 @@ let run ?result_words inst placement ~chip =
     if o.(0) < 0 || o.(1) < 0 || o.(0) + bw > w || o.(1) + bh > h then
       error "task %s leaves the cell array" (Instance.label inst i)
   done;
-  (* Cycle-by-cycle cell occupancy. *)
-  let busy_cell_cycles = ref 0 in
+  (* Cell occupancy. The running set only changes at start and finish
+     times, so each stretch between consecutive change points is
+     checked once, at its first cycle, and counts for its length. *)
+  let busy_cell_cycles = ref 0 and busy = ref 0.0 in
   let grid = Array.make (w * h) (-1) in
-  for t = 0 to makespan - 1 do
-    Array.fill grid 0 (w * h) (-1);
-    for i = 0 to n - 1 do
-      if Placement.start_time placement i <= t && t < Placement.finish_time placement i
-      then begin
-        let o = Placement.origin placement i in
-        for y = o.(1) to min (h - 1) (o.(1) + Instance.extent inst i 1 - 1) do
-          for x = o.(0) to min (w - 1) (o.(0) + Instance.extent inst i 0 - 1) do
-            let c = (y * w) + x in
-            if grid.(c) >= 0 then
-              error "cycle %d: cell (%d,%d) driven by both %s and %s" t x y
-                (Instance.label inst grid.(c))
-                (Instance.label inst i)
-            else begin
-              grid.(c) <- i;
-              incr busy_cell_cycles
-            end
+  let rec stretches = function
+    | t :: (next :: _ as rest) ->
+      let len = next - t in
+      Array.fill grid 0 (w * h) (-1);
+      for i = 0 to n - 1 do
+        if
+          Placement.start_time placement i <= t
+          && t < Placement.finish_time placement i
+        then begin
+          let o = Placement.origin placement i in
+          for y = o.(1) to min (h - 1) (o.(1) + Instance.extent inst i 1 - 1) do
+            for x = o.(0) to min (w - 1) (o.(0) + Instance.extent inst i 0 - 1) do
+              let c = (y * w) + x in
+              if grid.(c) >= 0 then
+                error "cycle %d: cell (%d,%d) driven by both %s and %s" t x y
+                  (Instance.label inst grid.(c))
+                  (Instance.label inst i)
+              else begin
+                grid.(c) <- i;
+                busy_cell_cycles := Geometry.Saturating.add !busy_cell_cycles len;
+                busy := !busy +. float_of_int len
+              end
+            done
           done
-        done
-      end
-    done
-  done;
+        end
+      done;
+      stretches rest
+    | _ -> ()
+  in
+  stretches (Placement.change_points placement);
   (* Data hand-over via external memory. *)
   let p = Instance.precedence inst in
   for u = 0 to n - 1 do
@@ -114,18 +124,26 @@ let run ?result_words inst placement ~chip =
         live := (u, release_time, words) :: !live;
         push release_time u (Release last_consumer))
     (List.init n Fun.id);
+  (* The parked footprint only rises when a producer finishes, so its
+     peak over [0, makespan] is reached at 0 or at a finish time. *)
   let peak = ref 0 in
-  for t = 0 to makespan do
-    let footprint =
-      List.fold_left
-        (fun acc (u, release, words) ->
-          if Placement.finish_time placement u <= t && t < release then
-            acc + words
-          else acc)
-        0 !live
-    in
-    peak := max !peak footprint
-  done;
+  List.iter
+    (fun t ->
+      let footprint =
+        List.fold_left
+          (fun acc (u, release, words) ->
+            if Placement.finish_time placement u <= t && t < release then
+              acc + words
+            else acc)
+          0 !live
+      in
+      peak := max !peak footprint)
+    (0
+    :: List.filter_map
+         (fun (u, _, _) ->
+           let f = Placement.finish_time placement u in
+           if f >= 0 then Some f else None)
+         !live);
   let events =
     List.stable_sort (fun a b -> compare (a.time, a.task) (b.time, b.task))
       (List.rev !events)
@@ -142,7 +160,7 @@ let run ?result_words inst placement ~chip =
     busy_cell_cycles = !busy_cell_cycles;
     utilization =
       (if makespan = 0 then 0.0
-       else float_of_int !busy_cell_cycles /. float_of_int (cells * makespan));
+       else !busy /. (float_of_int cells *. float_of_int makespan));
   }
 
 let pp_action fmt = function

@@ -7,9 +7,12 @@
     memory over the bus interface — the sender writes its result
     registers out at the end of its execution (read-out), the receiver
     reads them in when it starts. The simulator replays a placement
-    cycle by cycle and verifies, independently of all solver machinery:
+    from one start or finish time to the next (the running set is
+    constant in between, so the cost does not grow with the makespan)
+    and verifies, independently of all solver machinery:
 
-    - no cell is driven by two configured tasks in the same cycle;
+    - no cell is driven by two configured tasks in the same cycle (a
+      clash is reported once per stretch, at its first cycle);
     - every task stays within the cell array;
     - every data dependency is satisfied by an actual memory hand-over
       (the producer's read-out happens no later than the consumer's
@@ -41,7 +44,8 @@ type report = {
   reconfigurations : int;
   bus_words : int; (** total words moved over the bus *)
   peak_memory_words : int; (** peak external-memory footprint *)
-  busy_cell_cycles : int; (** sum over cycles of occupied cells *)
+  busy_cell_cycles : int;
+      (** sum over cycles of occupied cells, saturating at [max_int] *)
   utilization : float; (** busy cell-cycles / (cells * makespan) *)
 }
 

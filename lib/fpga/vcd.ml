@@ -52,25 +52,28 @@ let of_placement inst placement ~chip ?(timescale = "1ns") () =
   in
   let prev = Array.make n false in
   let prev_occ = ref (-1) in
-  for t = 0 to makespan do
-    let changes = Buffer.create 64 in
-    for i = 0 to n - 1 do
-      let now = t < makespan && running t i in
-      if now <> prev.(i) then begin
+  (* Signals only change at the change points; at the makespan
+     everything falls. *)
+  List.iter
+    (fun t ->
+      let changes = Buffer.create 64 in
+      for i = 0 to n - 1 do
+        let now = t < makespan && running t i in
+        if now <> prev.(i) then begin
+          Buffer.add_string changes
+            (Printf.sprintf "%d%s\n" (if now then 1 else 0) (code i));
+          prev.(i) <- now
+        end
+      done;
+      let occ = if t < makespan then occupied t else 0 in
+      if occ <> !prev_occ then begin
         Buffer.add_string changes
-          (Printf.sprintf "%d%s\n" (if now then 1 else 0) (code i));
-        prev.(i) <- now
-      end
-    done;
-    let occ = if t < makespan then occupied t else 0 in
-    if occ <> !prev_occ then begin
-      Buffer.add_string changes
-        (Printf.sprintf "b%s %s\n" (binary_of_int occ_width occ) occ_code);
-      prev_occ := occ
-    end;
-    if Buffer.length changes > 0 then begin
-      add (Printf.sprintf "#%d\n" t);
-      add (Buffer.contents changes)
-    end
-  done;
+          (Printf.sprintf "b%s %s\n" (binary_of_int occ_width occ) occ_code);
+        prev_occ := occ
+      end;
+      if Buffer.length changes > 0 then begin
+        add (Printf.sprintf "#%d\n" t);
+        add (Buffer.contents changes)
+      end)
+    (Placement.change_points placement);
   Buffer.contents buf

@@ -31,6 +31,16 @@ let makespan p =
   done;
   !best
 
+let change_points p =
+  let span = makespan p in
+  let points = ref [ 0; span ] in
+  for i = 0 to count p - 1 do
+    List.iter
+      (fun t -> if 0 < t && t < span then points := t :: !points)
+      [ start_time p i; finish_time p i ]
+  done;
+  List.sort_uniq Int.compare !points
+
 type violation =
   | Out_of_bounds of int
   | Boxes_overlap of int * int

@@ -33,6 +33,12 @@ val finish_time : t -> int -> int
 (** [makespan p] is the maximum finish time (0 when empty). *)
 val makespan : t -> int
 
+(** [change_points p] is 0, the makespan and every start and finish
+    time between them, sorted and distinct. The set of running boxes is
+    the same at every cycle from one point up to the next, so a replay
+    over \[0, makespan\] visits these points, not every cycle. *)
+val change_points : t -> int list
+
 (** Everything that can make a placement infeasible. *)
 type violation =
   | Out_of_bounds of int (* box index *)

@@ -2,8 +2,17 @@ let symbols = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 
 let symbol i = symbols.[i mod String.length symbols]
 
+(* Past this many cells a slice is no longer readable, and its grid is
+   allocated once per change point. *)
+let max_cells = 1 lsl 16
+
 let slice p ~container ~time =
   let w = Container.extent container 0 and h = Container.extent container 1 in
+  if Saturating.mul w h > max_cells then
+    invalid_arg
+      (Printf.sprintf
+         "Render.slice: a %dx%d chip is too large to draw (more than %d cells)" w h
+         max_cells);
   let grid = Array.make_matrix h w '.' in
   for i = 0 to Placement.count p - 1 do
     if

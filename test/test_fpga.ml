@@ -428,16 +428,20 @@ let test_fs_basic () =
   Alcotest.(check bool) "full MER" true (List.mem (0, 0, 4, 4) (FS.mers t))
 
 (* Reference implementation: enumerate every maximal empty rectangle of
-   an occupancy bitmap by brute force. *)
+   an occupancy bitmap by brute force. A 2-D prefix sum of the occupied
+   cells makes each emptiness test O(1). *)
 let brute_mers grid ~w ~h =
+  (* sum.(y).(x): occupied cells in [0, x) x [0, y) *)
+  let sum = Array.make_matrix (h + 1) (w + 1) 0 in
+  for y = 0 to h - 1 do
+    for x = 0 to w - 1 do
+      sum.(y + 1).(x + 1) <-
+        sum.(y).(x + 1) + sum.(y + 1).(x) - sum.(y).(x)
+        + if grid.(y).(x) then 1 else 0
+    done
+  done;
   let rect_empty x y rw rh =
-    let ok = ref true in
-    for yy = y to y + rh - 1 do
-      for xx = x to x + rw - 1 do
-        if grid.(yy).(xx) then ok := false
-      done
-    done;
-    !ok
+    sum.(y + rh).(x + rw) - sum.(y).(x + rw) - sum.(y + rh).(x) + sum.(y).(x) = 0
   in
   let rects = ref [] in
   for y = 0 to h - 1 do
@@ -458,12 +462,15 @@ let brute_mers grid ~w ~h =
   done;
   List.sort_uniq compare !rects
 
-(* Incremental MER maintenance matches the brute-force enumeration
-   after every place/remove of a random workload. *)
-let prop_fs_matches_brute_force seed =
-  let w = 6 and h = 6 in
+(* A random place/remove workload of [steps] steps on a [w * h] chip,
+   blocks up to [side] a side: after every step the MER set and the
+   free area must match the brute-force ones. With [scale = k] the same
+   workload also runs on a chip [k] times larger each way, where every
+   [find] answer and every MER must be the small chip's times [k]. *)
+let fs_matches_brute_force ?scale ~w ~h ~side ~steps seed =
   let rng = Random.State.make [| seed |] in
   let t = FS.create ~w ~h in
+  let big = Option.map (fun k -> (k, FS.create ~w:(w * k) ~h:(h * k))) scale in
   let grid = Array.make_matrix h w false in
   let live = ref [] in
   let next_id = ref 0 in
@@ -475,29 +482,41 @@ let prop_fs_matches_brute_force seed =
     done
   in
   let ok = ref true in
-  for _ = 1 to 30 do
+  for _ = 1 to steps do
     if !ok then begin
       (if !live = [] || Random.State.bool rng then begin
-         let bw = 1 + Random.State.int rng 3
-         and bh = 1 + Random.State.int rng 3 in
+         let bw = 1 + Random.State.int rng side
+         and bh = 1 + Random.State.int rng side in
          let policy =
            match Random.State.int rng 3 with
            | 0 -> FS.First_fit
            | 1 -> FS.Best_fit
            | _ -> FS.Worst_fit
          in
-         match FS.find t ~policy ~w:bw ~h:bh with
+         let found = FS.find t ~policy ~w:bw ~h:bh in
+         Option.iter
+           (fun (k, b) ->
+             ok :=
+               FS.find b ~policy ~w:(bw * k) ~h:(bh * k)
+               = Option.map (fun (x, y) -> (x * k, y * k)) found)
+           big;
+         match found with
          | None ->
            (* no MER fits: the bitmap must agree there is no room *)
            ok :=
-             not
-               (List.exists
-                  (fun (_, _, rw, rh) -> rw >= bw && rh >= bh)
-                  (brute_mers grid ~w ~h))
+             !ok
+             && not
+                  (List.exists
+                     (fun (_, _, rw, rh) -> rw >= bw && rh >= bh)
+                     (brute_mers grid ~w ~h))
          | Some (x, y) ->
            let id = !next_id in
            incr next_id;
            FS.place t ~id ~x ~y ~w:bw ~h:bh;
+           Option.iter
+             (fun (k, b) ->
+               FS.place b ~id ~x:(x * k) ~y:(y * k) ~w:(bw * k) ~h:(bh * k))
+             big;
            set true (x, y, bw, bh);
            live := (id, (x, y, bw, bh)) :: !live
        end
@@ -505,6 +524,7 @@ let prop_fs_matches_brute_force seed =
          let k = Random.State.int rng (List.length !live) in
          let id, rect = List.nth !live k in
          FS.remove t ~id;
+         Option.iter (fun (_, b) -> FS.remove b ~id) big;
          set false rect;
          live := List.filter (fun (i, _) -> i <> id) !live
        end);
@@ -516,9 +536,31 @@ let prop_fs_matches_brute_force seed =
                (fun acc row ->
                  Array.fold_left (fun a c -> if c then a else a + 1) acc row)
                0 grid
+        && Option.fold ~none:true
+             ~some:(fun (k, b) ->
+               FS.mers b
+               = List.map
+                   (fun (x, y, rw, rh) -> (x * k, y * k, rw * k, rh * k))
+                   (FS.mers t))
+             big
     end
   done;
   !ok
+
+(* Incremental MER maintenance matches the brute-force enumeration
+   after every place/remove of a random workload. *)
+let prop_fs_matches_brute_force seed =
+  fs_matches_brute_force ~w:6 ~h:6 ~side:3 ~steps:30 seed
+
+(* The same on non-square chips up to 12x9 with blocks up to 5 a side,
+   which form strips of many bands, and on the chip scaled by 2^20:
+   the manager's cost and arithmetic must not depend on the cell
+   count. *)
+let arb_fs_chip =
+  QCheck.(triple (int_range 2 12) (int_range 2 9) (int_range 0 10_000))
+
+let prop_fs_matches_brute_force_wide (w, h, seed) =
+  fs_matches_brute_force ~scale:(1 lsl 20) ~w ~h ~side:5 ~steps:60 seed
 
 (* ------------------------------------------------------------------ *)
 (* Online placement                                                    *)
@@ -854,6 +896,61 @@ let prop_defrag_never_wasted (p, seed) =
   && (r.Online.move_cycles = 0 || r.Online.compactions > 0)
   && (r.Online.compactions = 0 || r.Online.move_cycles > 0)
 
+(* The full event list and report of an arrival stream, as one line:
+   the report's counts and the MD5 of the events. [stream_pins] covers
+   a 3,000-task stream (seed 1, load 1.0, 32x32, the CLI's generator
+   defaults) per fit policy with and without compaction, where no
+   compaction pays off, plus a 16x16 stream at load 1.5 that commits
+   some. The MER set is a function of the occupancy alone, so any
+   rewrite of [Free_space] must leave these lines unchanged. *)
+let stream_pin ~side ~load ~n policy compaction =
+  let chip = Chip.square side in
+  let tasks =
+    Benchmarks.Generate.arrival_stream ~seed:1 ~n ~chip ~load ~max_extent:8
+      ~max_duration:12 ~arc_probability:0.1 ()
+  in
+  let r = Online.run_stream ~policy tasks ~chip ~compaction ~move_delay:1 in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let event = function
+    | Online.Placed { task; x; y; time } ->
+      Printf.sprintf "P %d %d %d %d" task x y time
+    | Online.Deferred { task; until } -> Printf.sprintf "D %d %d" task until
+    | Online.Compacted { moved; time; cost; enabled } ->
+      Printf.sprintf "C %s %d %d %d" (ints moved) time cost enabled
+    | Online.Rejected { task } -> Printf.sprintf "R %d" task
+  in
+  Printf.sprintf "%d %d %d %d %d %d %d %d %.6f %s" r.Online.placed
+    r.Online.rejected r.Online.never_arrived r.Online.deferrals
+    r.Online.compactions r.Online.moved_tasks r.Online.move_cycles
+    r.Online.makespan r.Online.utilization
+    (Digest.to_hex
+       (Digest.string (String.concat "\n" (List.map event r.Online.events))))
+
+let stream_pins =
+  let big = stream_pin ~side:32 ~load:1.0 ~n:3000 in
+  [
+    (fun () -> big Online.First_fit false),
+    "3000 0 0 1965 0 0 0 434 0.889741 a6d2e442a75c57823e1c5aa0abc9d3dc";
+    (fun () -> big Online.First_fit true),
+    "3000 0 0 1965 0 0 0 434 0.889741 a6d2e442a75c57823e1c5aa0abc9d3dc";
+    (fun () -> big Online.Best_fit false),
+    "3000 0 0 1985 0 0 0 428 0.902214 45124c0c36a3515535d9adcf59e70d8f";
+    (fun () -> big Online.Best_fit true),
+    "3000 0 0 1985 0 0 0 428 0.902214 45124c0c36a3515535d9adcf59e70d8f";
+    (fun () -> big Online.Worst_fit false),
+    "3000 0 0 2011 0 0 0 441 0.875618 68b144030399c34025dcd4f4eaaecced";
+    (fun () -> big Online.Worst_fit true),
+    "3000 0 0 2011 0 0 0 441 0.875618 68b144030399c34025dcd4f4eaaecced";
+    (fun () -> stream_pin ~side:16 ~load:1.5 ~n:1000 Online.Best_fit true),
+    "1000 0 0 840 12 58 58 578 0.927011 90cf44a8fb0dc376cbf3bb38ba488ad7";
+  ]
+
+let test_stream_pinned () =
+  Alcotest.(check (list string))
+    "32x32 first/best/worst fit without/with compaction; 16x16 best fit with"
+    (List.map snd stream_pins)
+    (List.map (fun (run, _) -> run ()) stream_pins)
+
 (* Online placements that report a full placement are geometrically
    feasible. *)
 let prop_online_placements_valid seed =
@@ -958,6 +1055,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_fs_basic;
           qtest ~count:80 "matches brute force" arb_seed prop_fs_matches_brute_force;
+          qtest ~count:100 "matches brute force up to 12x9, scaled by 2^20"
+            arb_fs_chip prop_fs_matches_brute_force_wide;
         ] );
       ( "online",
         [
@@ -972,6 +1071,7 @@ let () =
             test_online_compaction_rollback;
           Alcotest.test_case "compaction commit" `Quick
             test_online_compaction_commit;
+          Alcotest.test_case "stream pinned" `Slow test_stream_pinned;
           qtest ~count:60 "placements valid" arb_seed prop_online_placements_valid;
           qtest ~count:60 "stream invariants" arb_policy_seed prop_stream_invariants;
           qtest ~count:40 "policies agree on rejection" arb_seed
